@@ -168,8 +168,10 @@ std::vector<Query> QueriesFor(Workload workload) {
 
 size_t EstimatedBuildBytes(const runtime::Database& db, Query query) {
   // Per-entry cost covering the materialized entry (header + key +
-  // payload), its directory word, and the partitioned protocol's relink
-  // arena (which briefly doubles the entries). Deliberately generous:
+  // payload) and its directory words (2-4 per entry: load factor <= 0.5 on
+  // a power-of-two directory). In-memory builds link the entries in place;
+  // only a spilled build copies them into a replay arena, and that path
+  // runs because the budget was already exceeded. Deliberately generous:
   // admission that queues a query which would have fit is a latency cost;
   // admission that lets a query overcommit defeats the budget.
   constexpr size_t kBytesPerBuildTuple = 64;

@@ -70,11 +70,11 @@ std::vector<Query> QueriesFor(Workload workload);
 /// Conservative estimate of the query's hash-table build footprint against
 /// `db`, in bytes: every build-side relation's tuple count (selectivity
 /// ignored — overestimating is the safe direction for admission) times a
-/// nominal per-entry cost covering the materialized entry, the directory
-/// word, and the partitioned build's relink arena. Session executions pass
-/// this to Scheduler::Admit so memory-aware admission queues or rejects a
-/// query whose build would overcommit the scheduler's memory budget
-/// instead of letting the ledger trip it mid-build.
+/// nominal per-entry cost covering the materialized entry and its
+/// directory words (in-memory builds link entries in place). Session
+/// executions pass this to Scheduler::Admit so memory-aware admission
+/// queues or rejects a query whose build would overcommit the scheduler's
+/// memory budget instead of letting the ledger trip it mid-build.
 size_t EstimatedBuildBytes(const runtime::Database& db, Query query);
 
 /// Total input tuples the query scans against `db` (every referenced

@@ -108,10 +108,10 @@
 // Self-tuning model (paper §9.1: the optimizer, not the engineer, should
 // pick execution strategies): every data- and machine-dependent execution
 // knob — compaction policy/threshold at each registered Tectorwise
-// Select/group point, join-build protocol per build, Typer's ROF staged
-// probes and their block size, the vector size — can be learned per
-// prepared query instead of set statically, by a per-PreparedQuery
-// multi-armed bandit (runtime/tuner.h). Opt in per query:
+// Select/group point, ROF staged probes per join (and Typer's block size),
+// the vector size — can be learned per prepared query instead of set
+// statically, by a per-PreparedQuery multi-armed bandit (runtime/tuner.h).
+// Opt in per query:
 //
 //   vcq::runtime::QueryOptions opt;
 //   opt.tuning = vcq::runtime::TuningMode::kLearn;   // default: kOff

@@ -1,6 +1,7 @@
 #ifndef VCQ_RUNTIME_HASHMAP_H_
 #define VCQ_RUNTIME_HASHMAP_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -108,16 +109,9 @@ class Hashmap {
                                          std::memory_order_relaxed));
   }
 
-  /// Partitioned-build bucket publish: one plain store of the chain head
-  /// plus the accumulated tag bits — no CAS. Only valid while the calling
-  /// thread exclusively owns `bucket` (disjoint bucket ranges,
-  /// runtime::JoinBuild).
-  void SetBucketOwned(size_t bucket, EntryHeader* head, uintptr_t tags) {
-    buckets_[bucket].store(reinterpret_cast<uintptr_t>(head) | tags,
-                           std::memory_order_relaxed);
-  }
-
-  /// Single-threaded insert (no CAS); for serial builds and tests.
+  /// Insert without CAS: for serial builds, tests, and the spill-replay
+  /// build, where each worker exclusively owns the buckets it links
+  /// (runtime::JoinBuild).
   void InsertUnlocked(EntryHeader* e) {
     std::atomic<uintptr_t>& slot = buckets_[BucketOf(e->hash)];
     const uintptr_t old = slot.load(std::memory_order_relaxed);
@@ -146,7 +140,7 @@ class Hashmap {
 /// holds the evicted rows (same stride, write order) and `total` counts
 /// only the live in-memory rows. JoinBuild streams the spilled segments
 /// back during the insert phase — spilling forces the kPartitioned
-/// protocol, whose two passes re-read the input anyway.
+/// (spill-replay) protocol, which copies every row into its arena.
 struct EntryChunkList {
   std::vector<std::pair<std::byte*, size_t>> chunks;  // (base, row count)
   size_t total = 0;             // live rows (in the chunks above)
@@ -224,46 +218,52 @@ struct JoinBuildEnv {
 /// one Run() call per worker). The materialize phase stays engine-specific;
 /// from the sizing barrier on, the path is common:
 ///
-///   kCas          every worker CAS-inserts its own rows into the shared
-///                 table — the seed protocol. Entries remain in the worker
-///                 MemPool chunks, so chains pointer-chase across them.
-///   kPartitioned  workers are assigned disjoint bucket ranges (by the hash
-///                 bits that select the bucket). Each worker histograms the
-///                 whole input for its range, the counts are prefix-summed
-///                 at a barrier, and each worker then copies its range's
-///                 rows into a contiguous bucket-ordered arena segment and
-///                 links them with plain stores: a bucket's chain is a
-///                 sequential run of rows, and no bucket word is ever
-///                 touched by two cores.
+///   kCas          every worker CAS-inserts its own rows, in place, into
+///                 the shared table (paper §3.2). Entries remain in the
+///                 worker MemPool chunks. Both engines request it for every
+///                 build.
+///   kPartitioned  the spill-replay protocol, forced whenever any worker
+///                 spilled (spilled rows have no in-memory home to link in
+///                 place). The directory is split into partitions:
+///                 contiguous bucket ranges, sized so that one partition's
+///                 directory slice stays cache-resident. Each worker
+///                 histograms its own rows (live and spilled) by partition;
+///                 the counts are prefix-summed at a barrier into a
+///                 partition-major arena, and each worker copies its rows
+///                 into its slots of every partition in one sequential
+///                 pass. After a second barrier, workers claim whole
+///                 partitions through an atomic counter and link their
+///                 rows with plain stores: no bucket word is touched by two
+///                 cores.
 ///
 /// The arena is owned here and must outlive the probes (both engines keep
 /// the JoinBuild alive for the query). Chain contents are identical across
-/// modes (same entries per bucket, same tag bits); only chain order and
+/// protocols (same entries per bucket, same tag bits); only chain order and
 /// entry placement differ, which no studied query observes.
 ///
 /// Failure containment (JoinBuildEnv with a token): a worker whose phase
 /// throws — injected fault, real bad_alloc from the directory/arena — marks
 /// the build poisoned, Fail()s the token, and the exception never crosses a
-/// barrier: the sizing/offset/final waits are token-aware
-/// (Barrier::WaitOrAbort), so surviving workers abort instead of blocking
-/// on the dead one, skip the guarded phases, and drain. The poisoned table
-/// is never probed (the probing region observes the sticky trip before
-/// claiming any morsel) and all charged bytes return on destruction.
-/// Without a token the seed contract stands: an exception propagates and
-/// the run fails fast.
+/// barrier: every wait is token-aware (Barrier::WaitOrAbort), so surviving
+/// workers abort instead of blocking on the dead one, skip the guarded
+/// phases, and drain. The poisoned table is never probed (the probing
+/// region observes the sticky trip before claiming any morsel) and all
+/// charged bytes return on destruction. Without a token the seed contract
+/// stands: an exception propagates and the run fails fast.
 class JoinBuild {
  public:
   JoinBuild(Hashmap* ht, size_t threads, JoinBuildEnv env = {})
       : ht_(ht), threads_(threads), env_(env), barrier_(threads),
-        published_(threads), seg_counts_(threads), seg_offsets_(threads + 1) {}
+        published_(threads) {}
 
   ~JoinBuild() {
     if (env_.ledger != nullptr && charged_ > 0) env_.ledger->Uncharge(charged_);
   }
 
   /// Executes the insert protocol for one worker: publishes `chunks`, meets
-  /// the barrier that sizes the table, and inserts according to `mode`.
-  /// `stride` is the row size (identical across workers).
+  /// the barrier that sizes the table, and inserts according to `mode`
+  /// (upgraded to kPartitioned when any worker spilled). `stride` is the
+  /// row size (identical across workers).
   void Run(BuildMode mode, EntryChunkList chunks, size_t stride) {
     const size_t wid = arrivals_.fetch_add(1, std::memory_order_relaxed);
     VCQ_CHECK_MSG(wid < threads_, "JoinBuild::Run called more often than the "
@@ -286,10 +286,6 @@ class JoinBuild {
               total_ += list.total + list.spilled_rows;
               any_spilled |= list.spilled_rows > 0;
             }
-            // Spilled rows force the partitioned protocol: kCas inserts
-            // entries in place in the worker chunks, which spilled rows no
-            // longer have — the partitioned passes stream every row (live
-            // or spilled) into the arena regardless of where it lives.
             effective_mode_.store(
                 any_spilled ? BuildMode::kPartitioned : mode,
                 std::memory_order_release);
@@ -309,8 +305,7 @@ class JoinBuild {
                 poisoned_.store(true, std::memory_order_release);
                 return;
               }
-              arena_.reset(new std::byte[total_ * stride_]);
-              Charge(total_ * stride_);
+              SizePartitions();
             }
           } catch (...) {
             poisoned_.store(true, std::memory_order_release);
@@ -333,7 +328,7 @@ class JoinBuild {
             }
           }
         } else {
-          InsertPartition(wid);
+          InsertPartitioned(wid);
         }
         FaultHit(env_.fault, "join_build.finish", env_.cancel);
       } catch (...) {
@@ -352,8 +347,7 @@ class JoinBuild {
           }
           // After a partitioned build every entry lives in the arena, so
           // the published chunk lists are dead; drop them so the engines
-          // can free the materialize-phase MemPool chunks they point into
-          // (ROADMAP: ~2x transient build-side memory otherwise).
+          // can free the materialize-phase MemPool chunks they point into.
           if (effective_mode_.load(std::memory_order_relaxed) ==
               BuildMode::kPartitioned) {
             for (EntryChunkList& list : published_) list = EntryChunkList{};
@@ -367,20 +361,13 @@ class JoinBuild {
   /// the probing region never starts).
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
-  /// True when probes only ever walk the contiguous arena, i.e. the
-  /// materialize-phase chunks handed to Run() are no longer referenced and
-  /// their memory can be released by the owning engine.
-  static bool ReleasesChunks(BuildMode mode) {
-    return mode == BuildMode::kPartitioned;
-  }
-
-  /// Instance flavor of ReleasesChunks, reflecting the EFFECTIVE protocol
-  /// of this build: a kCas request is upgraded to kPartitioned when any
-  /// worker spilled (decided under the sizing barrier), so engines must
-  /// consult the build, not the requested mode, before freeing their
-  /// materialize pools. Valid after Run returns; a build that failed
-  /// before sizing reports kPartitioned (releasing is safe — a poisoned
-  /// table is never probed).
+  /// True when probes only ever walk the arena, i.e. the materialize-phase
+  /// chunks handed to Run() are no longer referenced and their memory can
+  /// be released by the owning engine. Reflects the EFFECTIVE protocol: a
+  /// kCas request is upgraded to kPartitioned when any worker spilled
+  /// (decided under the sizing barrier). Valid after Run returns; a build
+  /// that failed before sizing reports true (releasing is safe — a
+  /// poisoned table is never probed).
   bool releases_chunks() const {
     return effective_mode_.load(std::memory_order_acquire) ==
            BuildMode::kPartitioned;
@@ -388,21 +375,47 @@ class JoinBuild {
 
   /// Total build-side rows (valid after Run returns).
   size_t entry_count() const { return total_; }
-  /// Bucket-ordered entry arena (kPartitioned only; nullptr for kCas).
+  /// Partition-major entry arena (kPartitioned only; nullptr for kCas).
   const std::byte* arena() const { return arena_.get(); }
+  /// Partition count of a kPartitioned build (0 for kCas).
+  size_t partitions() const { return partitions_; }
+  /// Partition that owns directory bucket `bucket` (kPartitioned only).
+  size_t PartitionOf(size_t bucket) const { return bucket >> bucket_shift_; }
+  /// Arena rows [first, last) holding partition `p`'s entries
+  /// (kPartitioned only).
+  std::pair<size_t, size_t> PartitionRows(size_t p) const {
+    return {part_begin_[p], part_begin_[p + 1]};
+  }
 
  private:
-  /// Bucket range owned by worker `wid` (contiguous, covers the table).
-  std::pair<size_t, size_t> RangeOf(size_t wid) const {
-    const size_t cap = ht_->capacity();
-    return {wid * cap / threads_, (wid + 1) * cap / threads_};
+  /// Directory buckets per partition (256 KiB of bucket words), unless the
+  /// fan-out cap below forces larger slices: small enough to stay in a
+  /// core's L2 while the partition's rows are linked, large enough that
+  /// the scatter writes a bounded number of streams.
+  static constexpr size_t kSliceBuckets = size_t{1} << 15;
+  static constexpr size_t kMaxPartitions = size_t{1} << 10;
+
+  /// Sizing on_last (single-threaded): allocates the arena and the
+  /// per-worker partition cursors — O(threads × partitions) scratch.
+  void SizePartitions() {
+    const size_t capacity = ht_->capacity();
+    partitions_ = std::clamp<size_t>(capacity / kSliceBuckets, 1,
+                                     kMaxPartitions);
+    bucket_shift_ = static_cast<unsigned>(
+        __builtin_ctzll(capacity / partitions_));  // both powers of two
+    cursors_.assign(threads_ * partitions_, 0);
+    part_begin_.assign(partitions_ + 1, 0);
+    Charge((cursors_.size() + part_begin_.size()) * sizeof(size_t));
+    arena_.reset(new std::byte[total_ * stride_]);
+    Charge(total_ * stride_);
+  }
+
+  size_t PartitionOfHash(uint64_t hash) const {
+    return ht_->BucketOf(hash) >> bucket_shift_;
   }
 
   /// Streams every row of `list` — spilled segments first (re-read through
-  /// `scratch` in write order), then the live chunks — through `fn`. Both
-  /// partition passes already re-scan the whole input, so spilled rows just
-  /// add a sequential file read per pass; each worker reads every file
-  /// (O(T·N), same complexity as the existing chunk-list scans).
+  /// `scratch` in write order), then the live chunks — through `fn`.
   template <typename Fn>
   void ForEachRow(const EntryChunkList& list, std::vector<std::byte>& scratch,
                   Fn&& fn) const {
@@ -418,77 +431,64 @@ class JoinBuild {
     }
   }
 
-  void InsertPartition(size_t wid) {
-    const auto [lo, hi] = RangeOf(wid);
+  void InsertPartitioned(size_t wid) {
+    const EntryChunkList& own = published_[wid];
+    size_t* cursor = cursors_.data() + wid * partitions_;
     std::vector<std::byte> scratch;
-    // Pass 1: histogram this worker's bucket range over the whole input,
-    // accumulating each bucket's tag bits along the way.
-    std::vector<uint32_t> hist(hi - lo, 0);
-    std::vector<uintptr_t> tags(hi - lo, 0);
-    size_t mine = 0;
-    for (const EntryChunkList& list : published_) {
-      ForEachRow(list, scratch, [&](const std::byte* row) {
-        const auto* e = reinterpret_cast<const Hashmap::EntryHeader*>(row);
-        const size_t b = ht_->BucketOf(e->hash);
-        if (b - lo < hi - lo) {
-          ++hist[b - lo];
-          tags[b - lo] |= Hashmap::TagOf(e->hash);
-          ++mine;
-        }
-      });
-    }
-    seg_counts_[wid] = mine;
+    // Pass 1: histogram this worker's own rows by partition.
+    ForEachRow(own, scratch, [&](const std::byte* row) {
+      ++cursor[PartitionOfHash(
+          reinterpret_cast<const Hashmap::EntryHeader*>(row)->hash)];
+    });
+    // Partition-major prefix sum: partition p's segment holds worker 0's
+    // rows of p, then worker 1's, ...; each count becomes its worker's
+    // write cursor into that segment.
     const BarrierStatus offsets = barrier_.WaitOrAbort(
         [&] {
-          seg_offsets_[0] = 0;
-          for (size_t w = 0; w < threads_; ++w)
-            seg_offsets_[w + 1] = seg_offsets_[w] + seg_counts_[w];
+          size_t at = 0;
+          for (size_t p = 0; p < partitions_; ++p) {
+            part_begin_[p] = at;
+            for (size_t w = 0; w < threads_; ++w) {
+              size_t& c = cursors_[w * partitions_ + p];
+              const size_t rows = c;
+              c = at;
+              at += rows;
+            }
+          }
+          part_begin_[partitions_] = at;
         },
         env_.cancel);
     // An abort here means some sibling died before arriving (its histogram
-    // never landed in seg_counts_): the offsets were never computed, so
-    // writing the arena would scribble over other workers' segments. Bail;
-    // the caller's final barrier also aborts on the same sticky trip.
+    // never landed): the cursors were never computed, so writing the arena
+    // would scribble over other workers' slots. Bail; the caller's final
+    // barrier also aborts on the same sticky trip.
     if (offsets == BarrierStatus::kAborted ||
         poisoned_.load(std::memory_order_acquire)) {
       return;
     }
 
-    // Per-bucket arena row offsets (exclusive prefix over the histogram,
-    // starting at this worker's segment); each non-empty bucket's word is
-    // published once — chain head plus accumulated tags.
-    std::vector<size_t> start(hi - lo);
-    size_t off = seg_offsets_[wid];
-    for (size_t j = 0; j < hi - lo; ++j) {
-      start[j] = off;
-      off += hist[j];
-      if (hist[j] > 0) {
-        ht_->SetBucketOwned(lo + j,
-                            reinterpret_cast<Hashmap::EntryHeader*>(
-                                arena_.get() + start[j] * stride_),
-                            tags[j]);
-      }
+    // Pass 2: scatter this worker's rows into its slots of each partition.
+    std::byte* arena = arena_.get();
+    ForEachRow(own, scratch, [&](const std::byte* src) {
+      const uint64_t hash =
+          reinterpret_cast<const Hashmap::EntryHeader*>(src)->hash;
+      std::memcpy(arena + cursor[PartitionOfHash(hash)]++ * stride_, src,
+                  stride_);
+    });
+    if (barrier_.WaitOrAbort(env_.cancel) == BarrierStatus::kAborted ||
+        poisoned_.load(std::memory_order_acquire)) {
+      return;
     }
 
-    // Pass 2: copy + link. A bucket's rows are consecutive, so each
-    // entry's successor is simply the next arena row.
-    std::vector<uint32_t> filled(hi - lo, 0);
-    for (const EntryChunkList& list : published_) {
-      ForEachRow(list, scratch, [&](const std::byte* src) {
-        const uint64_t hash =
-            reinterpret_cast<const Hashmap::EntryHeader*>(src)->hash;
-        const size_t b = ht_->BucketOf(hash);
-        if (b - lo >= hi - lo) return;
-        const size_t j = b - lo;
-        const size_t slot = start[j] + filled[j]++;
-        std::byte* dst = arena_.get() + slot * stride_;
-        std::memcpy(dst, src, stride_);
-        auto* header = reinterpret_cast<Hashmap::EntryHeader*>(dst);
-        header->next =
-            filled[j] < hist[j]
-                ? reinterpret_cast<Hashmap::EntryHeader*>(dst + stride_)
-                : nullptr;
-      });
+    // Link: whole partitions, claimed dynamically. A partition's buckets
+    // belong to whichever worker claimed it, so plain stores suffice.
+    for (size_t p = next_partition_.fetch_add(1, std::memory_order_relaxed);
+         p < partitions_;
+         p = next_partition_.fetch_add(1, std::memory_order_relaxed)) {
+      for (size_t row = part_begin_[p]; row < part_begin_[p + 1]; ++row) {
+        ht_->InsertUnlocked(
+            reinterpret_cast<Hashmap::EntryHeader*>(arena + row * stride_));
+      }
     }
   }
 
@@ -512,12 +512,16 @@ class JoinBuild {
   Barrier barrier_;
   std::atomic<size_t> arrivals_{0};
   std::vector<EntryChunkList> published_;
-  std::vector<size_t> seg_counts_;
-  std::vector<size_t> seg_offsets_;
   size_t stride_ = 0;
   size_t total_ = 0;
-  std::unique_ptr<std::byte[]> arena_;
   uint64_t start_ns_ = 0;  // written/read only under the barrier's on_last
+  // kPartitioned state, sized under the sizing barrier's on_last.
+  size_t partitions_ = 0;
+  unsigned bucket_shift_ = 0;
+  std::vector<size_t> cursors_;     // [worker][partition] count, then cursor
+  std::vector<size_t> part_begin_;  // partition p's rows: [p], [p + 1]
+  std::atomic<size_t> next_partition_{0};
+  std::unique_ptr<std::byte[]> arena_;
 };
 
 }  // namespace vcq::runtime

@@ -49,13 +49,12 @@ enum class KnobKind : uint8_t {
   kVectorSize,  ///< Tectorwise vector size (per plan).
   kCompaction,  ///< Compaction arm at one Select/group point (encoding
                 ///< below) or, for Typer, unused.
-  kBuildMode,   ///< runtime::BuildMode as int (0 = kCas, 1 = kPartitioned).
   kRof,         ///< staged (ROF) probes on/off (0/1).
   kRofBlock,    ///< staged-probe block size in tuples.
 };
 
-/// Node id used for per-query (not per-plan-node) knobs: Typer's build
-/// mode / ROF settings and the per-plan vector size.
+/// Node id used for per-query (not per-plan-node) knobs: Typer's ROF
+/// settings and the per-plan vector size.
 inline constexpr uint32_t kQueryKnob = UINT32_MAX;
 
 /// Compaction arm encoding (KnobKind::kCompaction): 0 = kNever,

@@ -28,24 +28,23 @@ inline constexpr size_t kRofMaxBlock = 1024;
 /// materializes entries into worker-local chunk arenas, then hands them to
 /// the shared runtime::JoinBuild — the same build protocol the Tectorwise
 /// HashJoin uses over the same runtime::Hashmap (paper §3.2: "the same data
-/// structures"). Under the default BuildMode::kPartitioned each worker owns
-/// a disjoint bucket range and relinks its range's entries into a
-/// contiguous bucket-ordered arena with plain stores; BuildMode::kCas is
-/// the seed's global lock-free CAS pass.
+/// structures"). Every build requests the paper's lock-free CAS pass, which
+/// links entries in place in the materialize chunks; a build whose workers
+/// spilled is replayed by JoinBuild's partitioned protocol instead, which
+/// copies every entry into its own arena so the chunks can be released.
 ///
 /// Entry must begin with a runtime::Hashmap::EntryHeader member `header`;
 /// the producer sets `header.hash` before emitting.
 template <typename Entry>
 class JoinTable {
   static_assert(std::is_trivially_copyable_v<Entry>,
-                "the partitioned build relocates entries bytewise");
+                "the spill-replay build relocates entries bytewise");
 
  public:
   /// `site` is this build's NodeTelemetry slot (a per-query build ordinal);
   /// only meaningful on tuned runs where opt.telemetry is set.
   explicit JoinTable(const runtime::QueryOptions& opt, uint32_t site = 0)
       : threads_(opt.threads),
-        mode_(opt.build_mode),
         ledger_(opt.ledger),
         spill_mgr_(opt.spill_manager),
         pool_(&runtime::PoolFor(opt)),
@@ -96,11 +95,10 @@ class JoinTable {
         ++list.total;
       };
       produce(wid, emit);
-      build_.Run(mode_, std::move(list), sizeof(Entry));
-      // The partitioned protocol copied every entry into the contiguous
-      // arena (no one reads the chunks after Run's final barrier), so the
-      // materialize-phase memory is pure overhead from here on. Ask the
-      // build, not the requested mode: spilling upgrades kCas builds.
+      build_.Run(runtime::BuildMode::kCas, std::move(list), sizeof(Entry));
+      // A spilled build was replayed into JoinBuild's arena (no one reads
+      // the chunks after Run's final barrier), so the materialize-phase
+      // memory is pure overhead from here on.
       if (build_.releases_chunks()) pools_[wid].Release();
     }, region);
   }
@@ -167,7 +165,6 @@ class JoinTable {
   static constexpr size_t kChunkRows = 1024;
 
   size_t threads_;
-  runtime::BuildMode mode_;
   runtime::QueryLedger* ledger_;
   runtime::SpillManager* spill_mgr_;
   runtime::WorkerPool* pool_;

@@ -13,6 +13,8 @@
 #include "runtime/hash.h"
 #include "runtime/mem_pool.h"
 #include "runtime/options.h"
+#include "runtime/resource_governor.h"
+#include "runtime/spill.h"
 #include "runtime/worker_pool.h"
 #include "typer/join_table.h"
 
@@ -138,7 +140,7 @@ TEST(HashmapTest, CapacityIsPowerOfTwoAndAmple) {
   EXPECT_EQ(ht.capacity() & (ht.capacity() - 1), 0u);
 }
 
-// --- JoinBuild: CAS vs partitioned build equivalence ------------------------
+// --- JoinBuild: CAS vs partitioned (spill-replay) build equivalence ---------
 
 /// Materializes `total` entries (keys 0..total-1, every 7th key duplicated)
 /// into per-worker chunk lists carved from `pool`.
@@ -191,63 +193,113 @@ std::vector<uintptr_t> BucketTags(const Hashmap& ht) {
   return tags;
 }
 
+/// A copy of `lists` whose first half of chunks (per worker) lives in a
+/// real spill file instead of memory: the shape a build has after spilling
+/// under pressure (spilled segments, then the live tail).
+std::vector<EntryChunkList> SpillFirstHalf(
+    const std::vector<EntryChunkList>& lists, SpillManager& spill) {
+  std::vector<EntryChunkList> out(lists.size());
+  for (size_t w = 0; w < lists.size(); ++w) {
+    const auto& chunks = lists[w].chunks;
+    const size_t half = chunks.size() / 2;
+    for (size_t c = 0; c < half; ++c)
+      out[w].Add(chunks[c].first, chunks[c].second);
+    out[w].SpillTo(spill.Create("hashmap_test"), sizeof(TestEntry));
+    for (size_t c = half; c < chunks.size(); ++c)
+      out[w].Add(chunks[c].first, chunks[c].second);
+  }
+  return out;
+}
+
 class JoinBuildTest : public ::testing::TestWithParam<size_t> {};
+
+// Large enough that the directory splits into several partitions (more
+// than some thread counts, fewer than others).
+constexpr size_t kMultiPartitionRows = 70000;
 
 TEST_P(JoinBuildTest, PartitionedMatchesCasChains) {
   const size_t threads = GetParam();
-  constexpr size_t kTotal = 5000;
   MemPool pool;
-  const auto lists = MakeChunkLists(pool, kTotal, threads);
+  const auto lists = MakeChunkLists(pool, kMultiPartitionRows, threads);
+  SpillManager spill(0, nullptr, nullptr);
+  const auto spilled = SpillFirstHalf(lists, spill);
+  ASSERT_GT(spill.spilled_bytes(), 0u);
 
-  Hashmap cas_ht;
-  JoinBuild cas_build(&cas_ht, threads);
+  // The partitioned builds only read the source rows, while the CAS build
+  // relinks them in place, so it runs last. The spilled input requests
+  // kCas and must be upgraded to the replay protocol.
   Hashmap part_ht;
   JoinBuild part_build(&part_ht, threads);
-  // Partitioned first: it only reads the source rows, while the CAS build
-  // relinks them in place.
   WorkerPool::Global().Run(threads, [&](size_t wid) {
     part_build.Run(BuildMode::kPartitioned, lists[wid], sizeof(TestEntry));
   });
+  Hashmap replay_ht;
+  JoinBuild replay_build(&replay_ht, threads);
+  WorkerPool::Global().Run(threads, [&](size_t wid) {
+    replay_build.Run(BuildMode::kCas, spilled[wid], sizeof(TestEntry));
+  });
+  Hashmap cas_ht;
+  JoinBuild cas_build(&cas_ht, threads);
   WorkerPool::Global().Run(threads, [&](size_t wid) {
     cas_build.Run(BuildMode::kCas, lists[wid], sizeof(TestEntry));
   });
 
-  ASSERT_EQ(cas_ht.capacity(), part_ht.capacity());
-  EXPECT_EQ(cas_build.entry_count(), kTotal);
-  EXPECT_EQ(part_build.entry_count(), kTotal);
-  EXPECT_EQ(BucketContents(cas_ht), BucketContents(part_ht));
-  EXPECT_EQ(BucketTags(cas_ht), BucketTags(part_ht));
+  EXPECT_FALSE(cas_build.releases_chunks());
+  EXPECT_TRUE(part_build.releases_chunks());
+  EXPECT_TRUE(replay_build.releases_chunks());
+  EXPECT_GT(part_build.partitions(), 1u);
+  const auto expected = BucketContents(cas_ht);
+  const auto expected_tags = BucketTags(cas_ht);
+  for (const auto* built : {&part_ht, &replay_ht}) {
+    ASSERT_EQ(built->capacity(), cas_ht.capacity());
+    EXPECT_EQ(BucketContents(*built), expected);
+    EXPECT_EQ(BucketTags(*built), expected_tags);
+  }
+  EXPECT_EQ(cas_build.entry_count(), kMultiPartitionRows);
+  EXPECT_EQ(part_build.entry_count(), kMultiPartitionRows);
+  EXPECT_EQ(replay_build.entry_count(), kMultiPartitionRows);
 }
 
-TEST_P(JoinBuildTest, PartitionedChainsAreContiguousArenaRuns) {
+TEST_P(JoinBuildTest, PartitionedChainsStayInTheirPartitionSegment) {
   const size_t threads = GetParam();
-  constexpr size_t kTotal = 3000;
   MemPool pool;
-  const auto lists = MakeChunkLists(pool, kTotal, threads);
+  const auto lists = MakeChunkLists(pool, kMultiPartitionRows, threads);
   Hashmap ht;
   JoinBuild build(&ht, threads);
   WorkerPool::Global().Run(threads, [&](size_t wid) {
     build.Run(BuildMode::kPartitioned, lists[wid], sizeof(TestEntry));
   });
-  // Every chain must be a sequential run of arena rows — the contiguity
-  // the partitioned build exists to provide.
+  // The partition segments tile the arena in partition order.
+  ASSERT_GT(build.partitions(), 1u);
+  size_t next_row = 0;
+  for (size_t p = 0; p < build.partitions(); ++p) {
+    const auto [first, last] = build.PartitionRows(p);
+    EXPECT_EQ(first, next_row) << "partition " << p;
+    EXPECT_LE(first, last);
+    next_row = last;
+  }
+  EXPECT_EQ(next_row, kMultiPartitionRows);
+  // Every chain entry is an arena row inside the segment of the partition
+  // that owns its bucket — the invariant that lets one worker link each
+  // partition with plain stores.
   const std::byte* arena = build.arena();
   ASSERT_NE(arena, nullptr);
   size_t seen = 0;
   for (size_t b = 0; b < ht.capacity(); ++b) {
+    const auto [first, last] = build.PartitionRows(build.PartitionOf(b));
     for (auto* e = Hashmap::Ptr(ht.buckets()[b].load()); e != nullptr;
          e = e->next) {
       ++seen;
       const auto* p = reinterpret_cast<const std::byte*>(e);
       ASSERT_GE(p, arena);
-      ASSERT_LT(p, arena + kTotal * sizeof(TestEntry));
-      if (e->next != nullptr) {
-        EXPECT_EQ(reinterpret_cast<const std::byte*>(e->next),
-                  p + sizeof(TestEntry));
-      }
+      const auto offset = static_cast<size_t>(p - arena);
+      ASSERT_EQ(offset % sizeof(TestEntry), 0u);
+      const size_t row = offset / sizeof(TestEntry);
+      ASSERT_GE(row, first) << "bucket " << b;
+      ASSERT_LT(row, last) << "bucket " << b;
     }
   }
-  EXPECT_EQ(seen, kTotal);
+  EXPECT_EQ(seen, kMultiPartitionRows);
 }
 
 TEST_P(JoinBuildTest, EmptyBuildSide) {
@@ -263,19 +315,19 @@ TEST_P(JoinBuildTest, EmptyBuildSide) {
   }
 }
 
-// 7 exercises non-power-of-two bucket-range splits against the power-of-two
-// capacity.
+// 7 exercises a thread count that divides neither the partition count nor
+// the power-of-two capacity.
 INSTANTIATE_TEST_SUITE_P(Threads, JoinBuildTest,
                          ::testing::Values(size_t{1}, size_t{4}, size_t{7}));
 
-// --- materialize-chunk release after partitioned builds ---------------------
+// --- materialize-chunk ownership: CAS keeps, spill replay releases ---------
 
-TEST(JoinBuildChunkReleaseTest, PartitionedBuildReleasesMaterializeChunks) {
-  // ROADMAP item: the partitioned build relinks every entry into the
-  // contiguous arena, so keeping the per-worker MemPool chunks alive
-  // doubles transient build-side memory. Assert via the process-wide
-  // byte-size counter that the engines free them — and that the CAS mode,
-  // whose chains live in those chunks, keeps them.
+TEST(JoinBuildChunkReleaseTest, CasKeepsChunksSpilledBuildReleasesThem) {
+  // A CAS build links entries in place, so the per-worker MemPool chunks
+  // must survive for the probes. A spilled build is replayed into
+  // JoinBuild's own arena, so the engines must free the chunks instead of
+  // carrying them through the probe phase. Checked via the process-wide
+  // MemPool byte counter.
   constexpr size_t kEntries = 200000;
   constexpr size_t kThreads = 4;
   const auto produce = [](size_t wid, auto emit) {
@@ -288,34 +340,46 @@ TEST(JoinBuildChunkReleaseTest, PartitionedBuildReleasesMaterializeChunks) {
       emit(e);
     }
   };
+  using Table = typer::JoinTable<TestEntry>;
+  const auto expect_probeable = [&](const Table& table) {
+    EXPECT_EQ(table.size(), kEntries);
+    for (int64_t key : {int64_t{0}, int64_t{77}, int64_t{12345},
+                        int64_t{199999}}) {
+      const TestEntry* e = table.Lookup(
+          HashMurmur2(static_cast<uint64_t>(key)),
+          [&](const TestEntry& t) { return t.key == key; });
+      ASSERT_NE(e, nullptr) << "key " << key;
+      EXPECT_EQ(e->value, key * 3);
+    }
+  };
 
   QueryOptions opt;
   opt.threads = kThreads;
-  opt.build_mode = BuildMode::kPartitioned;
   const size_t before = MemPool::live_bytes();
-  typer::JoinTable<TestEntry> partitioned(opt);
-  partitioned.Build(produce);
-  EXPECT_EQ(MemPool::live_bytes(), before)
-      << "partitioned build must release its materialize-phase chunks";
-  // The entries moved to the arena and stay probeable.
-  EXPECT_EQ(partitioned.size(), kEntries);
-  for (int64_t key : {int64_t{0}, int64_t{12345}, int64_t{199999}}) {
-    const TestEntry* e = partitioned.Lookup(
-        HashMurmur2(static_cast<uint64_t>(key)),
-        [&](const TestEntry& t) { return t.key == key; });
-    ASSERT_NE(e, nullptr) << "key " << key;
-    EXPECT_EQ(e->value, key * 3);
-  }
-
-  opt.build_mode = BuildMode::kCas;
-  typer::JoinTable<TestEntry> cas(opt);
+  Table cas(opt);
   cas.Build(produce);
   EXPECT_GE(MemPool::live_bytes() - before, kEntries * sizeof(TestEntry))
       << "CAS chains live in the materialize chunks; they must survive";
-  const TestEntry* e = cas.Lookup(
-      HashMurmur2(uint64_t{77}), [](const TestEntry& t) { return t.key == 77; });
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->value, 77 * 3);
+  expect_probeable(cas);
+
+  // A spill-mode ledger far below the build's size: every chunk boundary
+  // is under pressure, so each worker spills all but its last chunk.
+  QueryLedger ledger(64 << 10, nullptr);
+  ledger.EnableSpillMode();
+  SpillManager spill(0, nullptr, nullptr);
+  QueryOptions spill_opt = opt;
+  spill_opt.ledger = &ledger;
+  spill_opt.spill_manager = &spill;
+  const size_t before_spilled = MemPool::live_bytes();
+  {
+    Table spilled(spill_opt);
+    spilled.Build(produce);
+    EXPECT_GT(spill.spilled_bytes(), 0u);
+    EXPECT_EQ(MemPool::live_bytes(), before_spilled)
+        << "a spilled build must release its materialize-phase chunks";
+    expect_probeable(spilled);
+  }
+  EXPECT_EQ(ledger.in_use(), 0u);
 }
 
 TEST(MemPoolTest, AllocationsAlignedAndDistinct) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "api/vcq.h"
 #include "datagen/ssb.h"
 #include "datagen/tpch.h"
@@ -18,15 +20,14 @@
 //    The matrix pins byte-identity at threads {1, 8} x vector sizes
 //    {64, 1024} across all nine queries.
 //
-//  * Build-mode x prefetch equivalence: {CAS, partitioned} builds and
-//    {staged, unstaged} probes must be unobservable in results for both
-//    engines at threads {1, 4} — the acceptance matrix of the
-//    partition-parallel build + ROF generalization.
+//  * Spill x prefetch equivalence: in-memory (CAS) builds vs builds forced
+//    to spill and be replayed by the partitioned protocol, and {staged,
+//    unstaged} probes, must be unobservable in results for both engines at
+//    threads {1, 8}.
 
 namespace vcq {
 namespace {
 
-using runtime::BuildMode;
 using runtime::CompactionMode;
 using runtime::Database;
 using runtime::QueryOptions;
@@ -50,8 +51,8 @@ std::vector<Query> AllQueries() {
   return all;
 }
 
-/// Single-threaded Typer with the seed's CAS protocol: the anchor every
-/// configuration must reproduce byte-identically.
+/// Single-threaded in-memory Typer: the anchor every configuration must
+/// reproduce byte-identically.
 const QueryResult& Expected(Query q) {
   static std::map<Query, QueryResult>* cache =
       new std::map<Query, QueryResult>();
@@ -59,7 +60,6 @@ const QueryResult& Expected(Query q) {
   if (it == cache->end()) {
     QueryOptions opt;
     opt.threads = 1;
-    opt.build_mode = BuildMode::kCas;
     it = cache->emplace(q, RunQuery(DbFor(q), Engine::kTyper, q, opt)).first;
   }
   return it->second;
@@ -86,26 +86,48 @@ TEST_P(JoinPathTest, ProbeAccumulationMultiThreadedCollectors) {
   }
 }
 
-TEST_P(JoinPathTest, BuildModeAndPrefetchAreResultInvariant) {
+TEST_P(JoinPathTest, SpillAndPrefetchAreResultInvariant) {
   const Query q = GetParam();
+  // Join queries must really spill under the forced budget, so that the
+  // replay protocol builds their tables. SSB Q1.1 cannot: its only build
+  // (the 365 dates of one year, contiguous in the date table) fits one
+  // materialize chunk, and workers spill only completed chunks.
+  const bool must_spill =
+      q != Query::kQ1 && q != Query::kQ6 && q != Query::kSsbQ11;
+  Session session(DbFor(q));
   for (const Engine engine : {Engine::kTyper, Engine::kTectorwise}) {
-    for (const BuildMode mode : {BuildMode::kCas, BuildMode::kPartitioned}) {
+    // The in-memory peak sets the forced-spill budget: a sixteenth of it
+    // puts the spill-mode ledger under pressure early in every build.
+    QueryOptions measure;
+    measure.threads = 1;
+    PreparedQuery measured = session.Prepare(engine, q, measure);
+    ASSERT_TRUE(measured.Execute().ok());
+    const size_t peak = measured.measured_peak_bytes();
+    for (const bool spill : {false, true}) {
       for (const bool rof : {false, true}) {
-        for (const size_t threads : {size_t{1}, size_t{4}}) {
+        for (const size_t threads : {size_t{1}, size_t{8}}) {
           // simd additionally routes staged probes through the AVX-512
           // JoinCandidatesStaged variant (no-op where unsupported).
           for (const bool simd : {false, true}) {
             if (simd && engine != Engine::kTectorwise) continue;
             QueryOptions opt;
             opt.threads = threads;
-            opt.build_mode = mode;
             opt.rof = rof;
             opt.simd = simd;
-            EXPECT_EQ(RunQuery(DbFor(q), engine, q, opt), Expected(q))
-                << EngineName(engine) << " mode="
-                << (mode == BuildMode::kCas ? "cas" : "partitioned")
-                << " rof=" << rof << " threads=" << threads
-                << " simd=" << simd;
+            if (spill) {
+              opt.spill = true;
+              opt.memory_budget = std::max<size_t>(1, peak / 16);
+            }
+            const QueryResult got = session.Prepare(engine, q, opt).Execute();
+            const std::string config =
+                std::string(EngineName(engine)) + " spill=" +
+                std::to_string(spill) + " rof=" + std::to_string(rof) +
+                " threads=" + std::to_string(threads) +
+                " simd=" + std::to_string(simd);
+            EXPECT_EQ(got, Expected(q)) << config;
+            if (spill && must_spill) {
+              EXPECT_GT(got.spilled_bytes, 0u) << config;
+            }
           }
         }
       }
