@@ -1,7 +1,8 @@
 // Ablation: the SQL optimizer's two plan-shaping passes — predicate
-// pushdown and greedy join ordering (sql/optimizer.h) — on Q3- and
-// Q9-shaped statements written with an adversarial FROM order (the fact
-// table first, the selective dimension filters last). Four configs
+// pushdown and greedy join ordering with eager aggregation
+// (sql/optimizer.h) — on Q3-, Q9- and Q18-shaped statements written with
+// an adversarial FROM order (the fact table first, the selective
+// dimension filters last). Four configs
 // {off, pushdown only, join order only, both} are compared on three axes:
 // the optimizer's own cost estimate (Σ estimated join-output rows), the
 // interpreter's measured intermediate-tuple count (sql/lower.h
@@ -35,8 +36,10 @@ struct Workload {
   const char* text;
 };
 
-// Both statements list lineitem first so the unoptimized left-deep plan
-// joins the fact table before any filter has a chance to shrink it.
+// Every statement lists lineitem first so the unoptimized left-deep plan
+// joins the fact table before any filter has a chance to shrink it. The
+// Q18 shape has no filter to push: only pre-aggregating lineitem below
+// the joins (eager aggregation, under join ordering) shrinks it.
 const Workload kWorkloads[] = {
     {"Q3-shaped",
      "SELECT o_orderkey, SUM(l_extendedprice) AS v"
@@ -51,6 +54,12 @@ const Workload kWorkloads[] = {
      " AND s_suppkey = l_suppkey AND n_nationkey = s_nationkey"
      " AND p_partkey = l_partkey AND p_name LIKE '%green%'"
      " GROUP BY n_name"},
+    {"Q18-shaped",
+     "SELECT c_name, o_orderkey, o_totalprice, SUM(l_quantity) AS q"
+     " FROM lineitem, orders, customer"
+     " WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey"
+     " GROUP BY c_name, o_orderkey, o_totalprice"
+     " HAVING SUM(l_quantity) > 250.00"},
 };
 
 }  // namespace

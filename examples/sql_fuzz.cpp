@@ -1,7 +1,10 @@
 // Differential SQL fuzzer: generates seeded random queries inside the
 // supported subset (sql/fuzz.h), runs each on Tectorwise and on the
 // Volcano oracle, and exits nonzero on the first mismatch — CI runs this
-// as a smoke test; longer sweeps are a command-line flag away.
+// as a smoke test; longer sweeps are a command-line flag away. The oracle
+// compiles its own plan with join ordering (and with it eager
+// aggregation) off, so an optimizer rewrite is checked against a plan
+// that does not contain it.
 //
 //   ./sql_fuzz [--seed 1] [--n 200] [--sf 0.01] [--ssb] [--threads 4] [-v]
 //
@@ -44,6 +47,8 @@ int main(int argc, char** argv) {
   const vcq::runtime::Database db = ssb ? vcq::datagen::GenerateSsb(sf)
                                         : vcq::datagen::GenerateTpch(sf);
   const auto catalog = vcq::sql::MakeCatalog(db);
+  vcq::sql::OptimizerOptions unordered;
+  unordered.join_order = false;
 
   vcq::runtime::QueryOptions tw_opt;
   tw_opt.threads = threads;
@@ -67,7 +72,8 @@ int main(int argc, char** argv) {
     const vcq::runtime::QueryResult tw =
         compiled.query->LowerTectorwise().Run(tw_opt, no_params);
     const vcq::runtime::QueryResult volcano =
-        compiled.query->RunVolcano(volcano_opt, no_params);
+        vcq::sql::Compile(catalog, text, unordered)
+            .query->RunVolcano(volcano_opt, no_params);
     if (tw != volcano) {
       std::fprintf(stderr,
                    "seed %llu MISMATCH:\n%s\n-- tectorwise --\n%s"

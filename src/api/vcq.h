@@ -156,18 +156,26 @@
 //
 // The pipeline is lexer → recursive-descent parser → AST → binder (typed
 // logical plan against a sql::Catalog derived from the database schema,
-// with per-column min/max statistics) → optimizer (constant folding,
-// predicate pushdown, greedy smallest-intermediate join ordering) →
-// lowering onto the same tectorwise::PlanBuilder DAG the catalog queries
-// use — so SQL-prepared queries inherit the whole runtime stack above
-// (scheduler, governor, spill, degradation, tuning) unchanged. `$name`
-// placeholders become named parameters with NO defaults; every one must
-// be bound before Execute. Malformed SQL check-fails at PrepareSql with a
-// 1-based line:column diagnostic and never reaches Execute (sql::Compile
-// is the recoverable-error variant). Engines: kTectorwise, and kVolcano
-// as the single-threaded differential oracle — tests/sql_differential_
-// test.cc and the seeded fuzz harness (sql/fuzz.h, examples/sql_fuzz.cpp)
-// hold the two to byte-identical results; kTyper cannot run ad-hoc SQL
+// with per-column min/max statistics and verified unique keys) →
+// optimizer (constant folding, predicate pushdown, greedy
+// smallest-intermediate join ordering on composite-key, containment-aware
+// join estimates, and eager aggregation: a group-by pushed below N:1
+// joins onto unique keys when that shrinks the intermediate rows; see
+// sql/optimizer.h) → lowering onto the same tectorwise::PlanBuilder DAG
+// the catalog queries use — so SQL-prepared queries inherit the whole
+// runtime stack above (scheduler, governor, spill, degradation, tuning)
+// unchanged. On the reference texts (sql/reference_queries.h), Q18
+// pre-aggregates lineitem by orderkey below its joins as the hand plan
+// does, and Q9 joins the filtered parts to lineitem before partsupp.
+// `$name` placeholders become named parameters with NO defaults; every
+// one must be bound before Execute. Malformed SQL check-fails at
+// PrepareSql with a 1-based line:column diagnostic and never reaches
+// Execute (sql::Compile is the recoverable-error variant). Engines:
+// kTectorwise, and kVolcano as the single-threaded differential oracle —
+// tests/sql_differential_test.cc and the seeded fuzz harness (sql/fuzz.h,
+// examples/sql_fuzz.cpp) hold the two to byte-identical results, the fuzz
+// oracle on a plan compiled with join ordering and eager aggregation
+// off; kTyper cannot run ad-hoc SQL
 // (its pipelines are ahead-of-time compiled per catalog query). Try
 // examples/sql_shell.cpp for an interactive front end.
 //

@@ -1,8 +1,10 @@
 #include "sql/catalog.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "runtime/types.h"
@@ -36,8 +38,34 @@ SqlType TypeFor(std::string_view name, runtime::TypeTag tag) {
   return SqlType{TypeKind::kNumeric, scale};
 }
 
+/// One bitmap pass over [min, max]; stops at the first repeated value.
+/// Keys stored in increasing order (the generators write them so) need
+/// only a sequential comparison.
 template <typename T>
-ColumnStats ScanStats(std::span<const T> data) {
+bool VerifyUnique(std::span<const T> data, const ColumnStats& s) {
+  const uint64_t rows = data.size();
+  const uint64_t width =
+      static_cast<uint64_t>(s.max) - static_cast<uint64_t>(s.min) + 1;
+  if (width < rows || width > 64 * rows) return false;
+  if (std::adjacent_find(data.begin(), data.end(),
+                         std::greater_equal<T>()) == data.end())
+    return true;
+  std::vector<uint64_t> seen((width + 63) / 64, 0);
+  for (const T v : data) {
+    const uint64_t bit =
+        static_cast<uint64_t>(v) - static_cast<uint64_t>(s.min);
+    uint64_t& word = seen[bit / 64];
+    const uint64_t mask = uint64_t{1} << (bit % 64);
+    if (word & mask) return false;
+    word |= mask;
+  }
+  return true;
+}
+
+/// Min/max, plus the unique check for plain integers (scale-0 numerics:
+/// dates and fixed-point amounts are never keys).
+template <typename T>
+ColumnStats ScanStats(std::span<const T> data, const SqlType& type) {
   ColumnStats s;
   if (data.empty()) return s;
   T lo = data[0];
@@ -49,6 +77,7 @@ ColumnStats ScanStats(std::span<const T> data) {
   s.min = static_cast<int64_t>(lo);
   s.max = static_cast<int64_t>(hi);
   s.valid = true;
+  s.unique = type == SqlType{TypeKind::kNumeric, 0} && VerifyUnique(data, s);
   return s;
 }
 
@@ -92,9 +121,9 @@ Catalog::Catalog(const runtime::Database& db) : db_(&db) {
       def.elem_size = meta.elem_size;
       def.type = TypeFor(col, meta.tag);
       if (meta.tag == runtime::TypeTag::kInt32)
-        def.stats = ScanStats(rel.Col<int32_t>(col));
+        def.stats = ScanStats(rel.Col<int32_t>(col), def.type);
       else if (meta.tag == runtime::TypeTag::kInt64)
-        def.stats = ScanStats(rel.Col<int64_t>(col));
+        def.stats = ScanStats(rel.Col<int64_t>(col), def.type);
       table.columns.push_back(std::move(def));
     }
     tables_.push_back(std::move(table));

@@ -17,7 +17,8 @@
 // fixed-point model of runtime/types.h). The catalog annotates the datagen
 // schemas by column name — the one place in the library where column-name
 // conventions carry meaning — and scans per-column min/max statistics once
-// at construction for the optimizer's cardinality model.
+// at construction for the optimizer's cardinality model, verifying which
+// integer columns are unique keys on the way.
 
 namespace vcq::sql {
 
@@ -45,10 +46,19 @@ std::string TypeName(const SqlType& t);
 /// Min/max over an integer column, scanned once at catalog build. The
 /// optimizer derives distinct-count estimates as max-min+1 clamped to the
 /// table cardinality; `valid` is false for string columns.
+///
+/// `unique` is a verified fact, not an estimate: the catalog sets it only
+/// after a bitmap pass over [min, max] saw no value twice. Only plain
+/// integer columns (scale-0 numerics) with rows <= max-min+1 <= 64*rows
+/// are checked (a narrower range must repeat a value; a wider one would
+/// cost more than 8 bytes of bitmap per row), so a sparse key reads not
+/// unique. Eager aggregation (optimizer.h) rewrites a query only across
+/// joins onto unique columns.
 struct ColumnStats {
   int64_t min = 0;
   int64_t max = 0;
   bool valid = false;
+  bool unique = false;
 };
 
 struct ColumnDef {

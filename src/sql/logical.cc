@@ -23,6 +23,14 @@ uint32_t Scalar::TableMask() const {
   return m;
 }
 
+Scalar ColumnScalar(const BoundQuery& q, ColumnId id) {
+  Scalar s;
+  s.op = ScalarOp::kColumn;
+  s.col = id;
+  s.type = q.Column(id).type;
+  return s;
+}
+
 bool ScalarEqual(const Scalar& a, const Scalar& b) {
   if (a.op != b.op || a.args.size() != b.args.size()) return false;
   if (a.op == ScalarOp::kColumn && !(a.col == b.col)) return false;
@@ -103,8 +111,8 @@ std::string ToString(const BoundQuery& q) {
   for (const JoinEdge& e : q.joins) {
     out += "join:";
     for (const auto& k : e.keys)
-      out += " " + ToString(q, Scalar{.op = ScalarOp::kColumn, .col = k[0]}) +
-             " = " + ToString(q, Scalar{.op = ScalarOp::kColumn, .col = k[1]});
+      out += " " + ToString(q, ColumnScalar(q, k[0])) + " = " +
+             ToString(q, ColumnScalar(q, k[1]));
     out += "\n";
   }
   if (!q.values.empty()) {

@@ -155,6 +155,9 @@ struct BoundQuery {
   }
 };
 
+/// A plain column reference, typed from the catalog.
+Scalar ColumnScalar(const BoundQuery& q, ColumnId id);
+
 /// Pretty-printer for the logical plan (EXPLAIN "logical" stage).
 std::string ToString(const BoundQuery& q);
 std::string ToString(const BoundQuery& q, const Scalar& s);

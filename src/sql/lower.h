@@ -20,7 +20,9 @@
 //                    tectorwise::PlanBuilder DAG (scan → map → select
 //                    chains at each site, hash joins with explicit
 //                    Build/Probe carries, hash group-by or fixed
-//                    aggregation on top). Returns a normal
+//                    aggregation on top — or, under eager aggregation,
+//                    a hash group-by + HAVING on one leaf and a
+//                    projection on top). Returns a normal
 //                    tectorwise::Prepared, so Session treats SQL plans
 //                    exactly like catalog plans (tuning knobs included).
 //
@@ -47,10 +49,16 @@ struct VolcanoJoinStat {
 };
 
 struct VolcanoStats {
+  /// One entry per join node, in post-order (build subtree, probe subtree,
+  /// then the node), counted before the node's filters.
   std::vector<VolcanoJoinStat> joins;
   /// Σ join output tuples — what predicate pushdown and join ordering
   /// are trying to shrink.
   uint64_t intermediate_tuples = 0;
+  /// Eager aggregation only: groups the pre-aggregated leaf formed, and
+  /// the rows left of them after HAVING.
+  uint64_t pre_agg_groups = 0;
+  uint64_t pre_agg_rows = 0;
 };
 
 /// Builds the Tectorwise plan for `plan`. Check-fails on physical-plan

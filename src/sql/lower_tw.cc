@@ -22,7 +22,10 @@
 // fixed aggregation, or a plain projection map) sits on top. Columns are
 // threaded explicitly: every node carries exactly the columns its
 // ancestors still need (computed top-down), re-declared across joins with
-// Build/Probe since Tectorwise rematerializes join output.
+// Build/Probe since Tectorwise rematerializes join output. Under eager
+// aggregation the pre-aggregated leaf adds [map] → hash group-by →
+// [having select] above its scan, its aggregates travel up the joins as
+// kAggColumn pseudo columns, and the top stage is a projection.
 //
 // The collector reads the root's result columns with Batch::Value (the
 // selection-vector-aware accessor — a HAVING clause leaves a Select as
@@ -145,6 +148,15 @@ struct Env {
   }
 };
 
+/// Hash group-by output: key and aggregate columns, plus the node rows
+/// leave from (the HAVING select when there is one).
+struct Grouped {
+  PlanNode* root = nullptr;
+  std::vector<ColumnRef> keys;
+  std::vector<SlotGetter> key_getters;
+  std::vector<ColumnRef> aggs;
+};
+
 class Lowerer {
  public:
   explicit Lowerer(const PhysicalPlan& plan)
@@ -153,6 +165,12 @@ class Lowerer {
   tectorwise::Prepared Run() {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
+    if (p_.EagerAggregation()) {
+      // The aggregates arrive computed, from the pre-aggregated leaf.
+      for (uint32_t i = 0; i < q_.aggs.size(); ++i)
+        needed.insert(CKey(p_.AggColumn(i)));
+      return Projection(Lower(*p_.root, needed));
+    }
     for (const Aggregate& a : q_.aggs)
       if (a.has_arg) Collect(a.arg, &needed);
     Env env = Lower(*p_.root, needed);
@@ -167,6 +185,13 @@ class Lowerer {
   void Collect(const Scalar& s, std::set<uint64_t>* out) {
     if (s.IsColumn()) out->insert(CKey(s.col));
     for (const Scalar& a : s.args) Collect(a, out);
+  }
+
+  /// Column definition, with aggregate pseudo columns as int64 numerics.
+  const ColumnDef& Def(ColumnId id) const {
+    static const ColumnDef kAggDef{"agg", SqlType{}, TypeTag::kInt64,
+                                   sizeof(int64_t), ColumnStats{}};
+    return IsAggColumn(id) ? kAggDef : q_.Column(id);
   }
 
   /// True when a native int32 comparison would truncate the constant.
@@ -304,7 +329,9 @@ class Lowerer {
   }
 
   Env Lower(const JoinTree& t, const std::set<uint64_t>& needed_above) {
-    std::set<uint64_t> needed = needed_above;
+    // A pre-aggregated leaf scans what its group-by reads instead.
+    std::set<uint64_t> needed =
+        t.PreAggregated() ? PreAggregateInputs(t) : needed_above;
     for (uint32_t f : t.filters) Collect(q_.filters[f].lhs, &needed);
 
     if (t.IsLeaf()) {
@@ -322,6 +349,7 @@ class Lowerer {
                          }));
       }
       ApplyFilters(t, &env);
+      if (t.PreAggregated()) return PreAggregate(t, env);
       return env;
     }
 
@@ -354,7 +382,7 @@ class Lowerer {
     for (const uint64_t key : needed) {
       const ColumnId id{static_cast<uint32_t>(key >> 32),
                         static_cast<uint32_t>(key)};
-      const ColumnDef& col = q_.Column(id);
+      const ColumnDef& col = Def(id);
       const bool from_build = (t.build->mask >> id.table) & 1;
       env.cols.emplace(key, WithPhys(col, [&](auto* tp) {
                          using T = std::remove_pointer_t<decltype(tp)>;
@@ -363,6 +391,31 @@ class Lowerer {
                        }));
     }
     ApplyFilters(t, &env);
+    return env;
+  }
+
+  /// The group keys and aggregate arguments of a pre-aggregated leaf.
+  std::set<uint64_t> PreAggregateInputs(const JoinTree& t) {
+    std::set<uint64_t> inputs;
+    for (const ColumnId c : t.group_keys) inputs.insert(CKey(c));
+    for (const Aggregate& a : q_.aggs)
+      if (a.has_arg) Collect(a.arg, &inputs);
+    return inputs;
+  }
+
+  /// Eager aggregation's leaf, above its filtered scan: group by the
+  /// leaf's keys with every aggregate, then HAVING. Outputs the keys and
+  /// the kAggColumn pseudo columns.
+  Env PreAggregate(const JoinTree& t, const Env& in) {
+    std::vector<Scalar> keys;
+    for (const ColumnId c : t.group_keys) keys.push_back(ColumnScalar(q_, c));
+    const Grouped g = Group(in, keys);
+    Env env;
+    env.node = g.root;
+    for (size_t i = 0; i < keys.size(); ++i)
+      env.cols.emplace(CKey(t.group_keys[i]), g.keys[i]);
+    for (uint32_t i = 0; i < g.aggs.size(); ++i)
+      env.cols.emplace(CKey(p_.AggColumn(i)), g.aggs[i]);
     return env;
   }
 
@@ -436,6 +489,8 @@ class Lowerer {
         });
   }
 
+  /// A projection of the values; under eager aggregation followed by the
+  /// carried aggregates (the [values, aggs] slot layout of logical.h).
   tectorwise::Prepared Projection(Env env) {
     MapNode* map = nullptr;
     std::vector<ColumnRef> refs;
@@ -445,95 +500,121 @@ class Lowerer {
       refs.push_back(ref);
       getters.push_back(std::move(get));
     }
+    if (p_.EagerAggregation()) {
+      for (uint32_t i = 0; i < q_.aggs.size(); ++i) {
+        const ColumnRef ref = env.Ref(p_.AggColumn(i));
+        refs.push_back(ref);
+        getters.push_back(NumGetter<int64_t>(ref));
+      }
+    }
     PlanNode& root = map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
     return Gather(root, std::move(refs), std::move(getters));
   }
 
-  tectorwise::Prepared Aggregate_(Env env) {
-    // Stage the group keys and aggregate arguments. Aggregation inputs are
-    // int64 (Widen int32 arguments, dates included for min/max).
-    MapNode* map = nullptr;
-    auto ensure_map = [&]() -> MapNode& {
-      if (map == nullptr) map = &pb_.Map(*env.node);
-      return *map;
-    };
+  /// Stages every aggregate argument as an int64 column of `*map` (created
+  /// on demand; Widen int32 arguments, dates included for min/max).
+  std::vector<ColumnRef> AggArgs(const Env& env, MapNode** map) {
     std::vector<ColumnRef> arg_refs(q_.aggs.size());
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
       const sql::Aggregate& a = q_.aggs[i];
       if (!a.has_arg) continue;
-      arg_refs[i] = LowerNumeric(ensure_map(), env, a.arg);
+      if (*map == nullptr) *map = &pb_.Map(*env.node);
+      arg_refs[i] = LowerNumeric(**map, env, a.arg);
     }
+    return arg_refs;
+  }
 
-    if (!q_.grouped) {
-      // Ungrouped: FixedAgg emits one worker-local partial row per worker;
-      // the collector folds them with each function's identity.
-      PlanNode& input =
-          map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
-      auto& agg = pb_.FixedAgg(input);
-      std::vector<ColumnRef> refs;
-      std::vector<ast::AggFn> fns;
-      for (size_t i = 0; i < q_.aggs.size(); ++i) {
-        const sql::Aggregate& a = q_.aggs[i];
-        switch (a.fn) {
-          case ast::AggFn::kSum:
-            refs.push_back(agg.Sum(arg_refs[i], Name("a")));
-            break;
-          case ast::AggFn::kCount:
-            refs.push_back(agg.Count(Name("a")));
-            break;
-          case ast::AggFn::kMin:
-            refs.push_back(agg.Min(arg_refs[i], Name("a")));
-            break;
-          case ast::AggFn::kMax:
-            refs.push_back(agg.Max(arg_refs[i], Name("a")));
-            break;
-          case ast::AggFn::kAvg:
-            VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
-        }
-        fns.push_back(a.fn);
+  tectorwise::Prepared Aggregate_(Env env) {
+    if (q_.grouped) {
+      Grouped g = Group(env, q_.values);
+      std::vector<ColumnRef> refs = g.keys;
+      std::vector<SlotGetter> getters = std::move(g.key_getters);
+      for (const ColumnRef& a : g.aggs) {
+        refs.push_back(a);
+        getters.push_back(NumGetter<int64_t>(a));
       }
-      Plan plan = pb_.Build(agg, refs);
-      const ResultSpec spec = SpecFor(q_);
-      return tectorwise::Prepared(
-          std::move(plan),
-          [refs, fns, spec](const Plan& plan, const QueryOptions& opt,
-                            const QueryParams& params) {
-            std::vector<int64_t> acc(fns.size());
-            for (size_t i = 0; i < fns.size(); ++i)
-              acc[i] = fns[i] == ast::AggFn::kMin   ? INT64_MAX
-                       : fns[i] == ast::AggFn::kMax ? INT64_MIN
-                                                    : 0;
-            plan.Run(opt, params, [&](const Plan::Batch& b) {
-              for (size_t k = 0; k < b.size(); ++k) {
-                for (size_t i = 0; i < fns.size(); ++i) {
-                  const int64_t v = b.Value<int64_t>(refs[i], k);
-                  switch (fns[i]) {
-                    case ast::AggFn::kMin:
-                      acc[i] = std::min(acc[i], v);
-                      break;
-                    case ast::AggFn::kMax:
-                      acc[i] = std::max(acc[i], v);
-                      break;
-                    default:
-                      acc[i] += v;
-                      break;
-                  }
+      return Gather(*g.root, std::move(refs), std::move(getters));
+    }
+    MapNode* map = nullptr;
+    const std::vector<ColumnRef> arg_refs = AggArgs(env, &map);
+    // Ungrouped: FixedAgg emits one worker-local partial row per worker;
+    // the collector folds them with each function's identity.
+    PlanNode& input =
+        map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
+    auto& agg = pb_.FixedAgg(input);
+    std::vector<ColumnRef> refs;
+    std::vector<ast::AggFn> fns;
+    for (size_t i = 0; i < q_.aggs.size(); ++i) {
+      const sql::Aggregate& a = q_.aggs[i];
+      switch (a.fn) {
+        case ast::AggFn::kSum:
+          refs.push_back(agg.Sum(arg_refs[i], Name("a")));
+          break;
+        case ast::AggFn::kCount:
+          refs.push_back(agg.Count(Name("a")));
+          break;
+        case ast::AggFn::kMin:
+          refs.push_back(agg.Min(arg_refs[i], Name("a")));
+          break;
+        case ast::AggFn::kMax:
+          refs.push_back(agg.Max(arg_refs[i], Name("a")));
+          break;
+        case ast::AggFn::kAvg:
+          VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
+      }
+      fns.push_back(a.fn);
+    }
+    Plan plan = pb_.Build(agg, refs);
+    const ResultSpec spec = SpecFor(q_);
+    return tectorwise::Prepared(
+        std::move(plan),
+        [refs, fns, spec](const Plan& plan, const QueryOptions& opt,
+                          const QueryParams& params) {
+          std::vector<int64_t> acc(fns.size());
+          for (size_t i = 0; i < fns.size(); ++i)
+            acc[i] = fns[i] == ast::AggFn::kMin   ? INT64_MAX
+                     : fns[i] == ast::AggFn::kMax ? INT64_MIN
+                                                  : 0;
+          plan.Run(opt, params, [&](const Plan::Batch& b) {
+            for (size_t k = 0; k < b.size(); ++k) {
+              for (size_t i = 0; i < fns.size(); ++i) {
+                const int64_t v = b.Value<int64_t>(refs[i], k);
+                switch (fns[i]) {
+                  case ast::AggFn::kMin:
+                    acc[i] = std::min(acc[i], v);
+                    break;
+                  case ast::AggFn::kMax:
+                    acc[i] = std::max(acc[i], v);
+                    break;
+                  default:
+                    acc[i] += v;
+                    break;
                 }
               }
-            });
-            SqlRow row;
-            row.reserve(acc.size());
-            for (const int64_t v : acc) row.push_back(SqlValue::Num(v));
-            std::vector<SqlRow> rows;
-            rows.push_back(std::move(row));
-            return Render(spec, std::move(rows));
+            }
           });
-    }
+          SqlRow row;
+          row.reserve(acc.size());
+          for (const int64_t v : acc) row.push_back(SqlValue::Num(v));
+          std::vector<SqlRow> rows;
+          rows.push_back(std::move(row));
+          return Render(spec, std::move(rows));
+        });
+  }
 
-    // Grouped: stage non-column keys in the same map, then HashGroup.
-    std::vector<ColumnRef> key_ins(q_.values.size());
-    for (size_t i = 0; i < q_.values.size(); ++i) {
-      const Scalar& v = q_.values[i];
+  /// Hash group-by of `env` on `keys` computing every aggregate, then a
+  /// Select applying HAVING. Non-column keys are staged in the same map
+  /// as the aggregate arguments.
+  Grouped Group(const Env& env, const std::vector<Scalar>& keys) {
+    MapNode* map = nullptr;
+    const std::vector<ColumnRef> arg_refs = AggArgs(env, &map);
+    auto ensure_map = [&]() -> MapNode& {
+      if (map == nullptr) map = &pb_.Map(*env.node);
+      return *map;
+    };
+    std::vector<ColumnRef> key_ins(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Scalar& v = keys[i];
       if (v.IsColumn())
         key_ins[i] = env.Ref(v.col);
       else if (v.op == ScalarOp::kYear)
@@ -545,63 +626,58 @@ class Lowerer {
         map != nullptr ? static_cast<PlanNode&>(*map) : *env.node;
     auto& group = pb_.HashGroup(input);
 
-    std::vector<ColumnRef> refs;
-    std::vector<SlotGetter> getters;
-    for (size_t i = 0; i < q_.values.size(); ++i) {
-      const Scalar& v = q_.values[i];
+    Grouped g;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Scalar& v = keys[i];
       if (v.IsColumn()) {
         const ColumnDef& col = q_.Column(v.col);
         const ColumnRef out = WithPhys(col, [&](auto* tp) {
           using T = std::remove_pointer_t<decltype(tp)>;
           return group.Key<T>(key_ins[i]);
         });
-        refs.push_back(out);
-        getters.push_back(ColGetter(col, out));
+        g.keys.push_back(out);
+        g.key_getters.push_back(ColGetter(col, out));
       } else if (v.op == ScalarOp::kYear) {
         const ColumnRef out = group.Key<int32_t>(key_ins[i]);
-        refs.push_back(out);
-        getters.push_back(NumGetter<int32_t>(out));
+        g.keys.push_back(out);
+        g.key_getters.push_back(NumGetter<int32_t>(out));
       } else {
         const ColumnRef out = group.Key<int64_t>(key_ins[i]);
-        refs.push_back(out);
-        getters.push_back(NumGetter<int64_t>(out));
+        g.keys.push_back(out);
+        g.key_getters.push_back(NumGetter<int64_t>(out));
       }
     }
-    std::vector<ColumnRef> agg_outs(q_.aggs.size());
     for (size_t i = 0; i < q_.aggs.size(); ++i) {
-      const sql::Aggregate& a = q_.aggs[i];
-      switch (a.fn) {
+      switch (q_.aggs[i].fn) {
         case ast::AggFn::kSum:
-          agg_outs[i] = group.Sum(arg_refs[i]);
+          g.aggs.push_back(group.Sum(arg_refs[i]));
           break;
         case ast::AggFn::kCount:
-          agg_outs[i] = group.Count();
+          g.aggs.push_back(group.Count());
           break;
         case ast::AggFn::kMin:
-          agg_outs[i] = group.Min(arg_refs[i]);
+          g.aggs.push_back(group.Min(arg_refs[i]));
           break;
         case ast::AggFn::kMax:
-          agg_outs[i] = group.Max(arg_refs[i]);
+          g.aggs.push_back(group.Max(arg_refs[i]));
           break;
         case ast::AggFn::kAvg:
           VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
       }
-      refs.push_back(agg_outs[i]);
-      getters.push_back(NumGetter<int64_t>(agg_outs[i]));
     }
 
-    PlanNode* root = &group;
+    g.root = &group;
     if (!q_.having.empty()) {
       auto& hsel = pb_.Select(group);
       for (const HavingPred& h : q_.having) {
         if (h.rhs.is_param)
-          hsel.CmpParam<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.param);
+          hsel.CmpParam<int64_t>(g.aggs[h.agg], TwCmp(h.cmp), h.rhs.param);
         else
-          hsel.Cmp<int64_t>(agg_outs[h.agg], TwCmp(h.cmp), h.rhs.num);
+          hsel.Cmp<int64_t>(g.aggs[h.agg], TwCmp(h.cmp), h.rhs.num);
       }
-      root = &hsel;
+      g.root = &hsel;
     }
-    return Gather(*root, std::move(refs), std::move(getters));
+    return g;
   }
 
   const PhysicalPlan& p_;

@@ -32,7 +32,10 @@
 //
 // Each join is wrapped in a counting adapter; RunVolcano reports the
 // per-join output cardinalities as the ablation bench's ground-truth
-// "intermediate tuples" metric.
+// "intermediate tuples" metric. Under eager aggregation the
+// pre-aggregated leaf becomes scan → select → group-by → HAVING select,
+// its aggregate slots ride up the joins like columns, and the top stage
+// is a projection.
 
 namespace vcq::sql {
 namespace {
@@ -166,13 +169,18 @@ class Lowerer {
   QueryResult Run(VolcanoStats* stats) {
     std::set<uint64_t> needed;
     for (const Scalar& v : q_.values) Collect(v, &needed);
-    for (const Aggregate& a : q_.aggs)
-      if (a.has_arg) Collect(a.arg, &needed);
+    if (p_.EagerAggregation()) {
+      for (uint32_t i = 0; i < q_.aggs.size(); ++i)
+        needed.insert(CKey(p_.AggColumn(i)));
+    } else {
+      for (const Aggregate& a : q_.aggs)
+        if (a.has_arg) Collect(a.arg, &needed);
+    }
     VEnv env = Lower(*p_.root, std::move(needed));
 
     const ResultSpec spec = SpecFor(q_);
     std::vector<SqlRow> rows;
-    if (q_.aggs.empty())
+    if (q_.aggs.empty() || p_.EagerAggregation())
       Project(std::move(env), &rows);
     else if (q_.grouped)
       Group(std::move(env), &rows);
@@ -186,6 +194,8 @@ class Lowerer {
         stats->joins.push_back({label, *n});
         stats->intermediate_tuples += *n;
       }
+      stats->pre_agg_groups = *pre_agg_groups_;
+      stats->pre_agg_rows = *pre_agg_rows_;
     }
     if (runtime::Interrupted(opt_.cancel))
       return QueryResult::Failed(opt_.cancel->status());
@@ -373,6 +383,13 @@ class Lowerer {
   }
 
   VEnv Lower(const JoinTree& t, std::set<uint64_t> needed) {
+    // A pre-aggregated leaf scans what its group-by reads instead.
+    if (t.PreAggregated()) {
+      needed.clear();
+      for (const ColumnId c : t.group_keys) needed.insert(CKey(c));
+      for (const Aggregate& a : q_.aggs)
+        if (a.has_arg) Collect(a.arg, &needed);
+    }
     for (const uint32_t f : t.filters) {
       const Predicate& p = q_.filters[f];
       if (p.is_string)
@@ -381,6 +398,21 @@ class Lowerer {
         Collect(p.lhs, &needed);
     }
     return t.IsLeaf() ? Leaf(t, needed) : Join(t, needed);
+  }
+
+  /// Eager aggregation's leaf, above its filtered scan: group by the
+  /// leaf's keys (slots 0..k-1) with every aggregate (slots k..), then
+  /// HAVING.
+  VEnv PreAggregate(const JoinTree& t, VEnv in) {
+    std::vector<Scalar> keys;
+    for (const ColumnId c : t.group_keys) keys.push_back(ColumnScalar(q_, c));
+    VEnv env;
+    env.op = Aggregated(std::move(in), keys, pre_agg_groups_, pre_agg_rows_);
+    for (size_t i = 0; i < keys.size(); ++i)
+      env.slots[CKey(t.group_keys[i])] = i;
+    for (uint32_t i = 0; i < q_.aggs.size(); ++i)
+      env.slots[CKey(p_.AggColumn(i))] = keys.size() + i;
+    return env;
   }
 
   VEnv Leaf(const JoinTree& t, const std::set<uint64_t>& needed) {
@@ -415,6 +447,7 @@ class Lowerer {
     }
     env.op = std::move(scan);
     ApplyFilters(t, &env);
+    if (t.PreAggregated()) return PreAggregate(t, std::move(env));
     return env;
   }
 
@@ -490,8 +523,7 @@ class Lowerer {
   }
 
   /// Per-output-slot decoder used by the drain loops.
-  std::function<SqlValue(const Row&, size_t)> Decoder(const Scalar& v,
-                                                     const VEnv& env) {
+  std::function<SqlValue(const Row&, size_t)> Decoder(const Scalar& v) {
     if (v.IsColumn() && v.type.kind == TypeKind::kString) {
       const Dict* d = &DictFor(v.col);
       return [d](const Row& r, size_t slot) {
@@ -501,6 +533,8 @@ class Lowerer {
     return [](const Row& r, size_t slot) { return SqlValue::Num(r[slot]); };
   }
 
+  /// The values; under eager aggregation followed by the carried
+  /// aggregates (the [values, aggs] slot layout of logical.h).
   void Project(VEnv env, std::vector<SqlRow>* rows) {
     std::vector<RowFn> fns;
     std::vector<std::function<SqlValue(int64_t)>> decode;
@@ -516,6 +550,13 @@ class Lowerer {
             [](int64_t x) { return SqlValue::Num(x); });
       }
     }
+    if (p_.EagerAggregation()) {
+      for (uint32_t i = 0; i < q_.aggs.size(); ++i) {
+        const size_t slot = env.Slot(CKey(p_.AggColumn(i)));
+        fns.push_back([slot](const Row& r) { return r[slot]; });
+        decode.emplace_back([](int64_t x) { return SqlValue::Num(x); });
+      }
+    }
     env.op->Open();
     Row row;
     while (env.op->Next(&row)) {
@@ -527,7 +568,13 @@ class Lowerer {
     }
   }
 
-  void Group(VEnv env, std::vector<SqlRow>* rows) {
+  /// Groups `env` by `keys` computing every aggregate, then applies
+  /// HAVING. Output slots: the keys, then the aggregates. Non-null
+  /// counters receive the group count and the rows left after HAVING.
+  std::unique_ptr<Operator> Aggregated(VEnv env,
+                                       const std::vector<Scalar>& keys,
+                                       std::shared_ptr<uint64_t> groups,
+                                       std::shared_ptr<uint64_t> kept) {
     std::unique_ptr<Operator> op = std::move(env.op);
     ProjectOp* proj = nullptr;
     auto ensure_proj = [&]() -> ProjectOp& {
@@ -539,7 +586,7 @@ class Lowerer {
       return *proj;
     };
     std::vector<size_t> key_slots;
-    for (const Scalar& v : q_.values) {
+    for (const Scalar& v : keys) {
       if (v.IsColumn()) {
         key_slots.push_back(env.Slot(v.col));
         continue;
@@ -577,22 +624,38 @@ class Lowerer {
           VCQ_CHECK_MSG(false, "AVG is lowered to SUM/COUNT by the binder");
       }
     }
-
-    std::vector<std::function<SqlValue(const Row&, size_t)>> decode;
-    for (const Scalar& v : q_.values) decode.push_back(Decoder(v, env));
-
-    const size_t nkeys = q_.values.size();
-    group->Open();
-    Row row;
-    while (group->Next(&row)) {
-      bool pass = true;
+    op = std::move(group);
+    if (groups != nullptr)
+      op = std::make_unique<CountingOp>(std::move(op), std::move(groups));
+    if (!q_.having.empty()) {
+      std::vector<std::function<bool(const Row&)>> preds;
       for (const HavingPred& h : q_.having) {
-        if (!CmpApply(h.cmp, row[nkeys + h.agg], NumOperand(h.rhs))) {
-          pass = false;
-          break;
-        }
+        const size_t slot = keys.size() + h.agg;
+        const int64_t v = NumOperand(h.rhs);
+        const CmpOp cmp = h.cmp;
+        preds.push_back(
+            [slot, v, cmp](const Row& r) { return CmpApply(cmp, r[slot], v); });
       }
-      if (!pass) continue;
+      op = std::make_unique<SelectOp>(std::move(op), [preds](const Row& r) {
+        for (const auto& p : preds)
+          if (!p(r)) return false;
+        return true;
+      });
+    }
+    if (kept != nullptr)
+      op = std::make_unique<CountingOp>(std::move(op), std::move(kept));
+    return op;
+  }
+
+  void Group(VEnv env, std::vector<SqlRow>* rows) {
+    std::vector<std::function<SqlValue(const Row&, size_t)>> decode;
+    for (const Scalar& v : q_.values) decode.push_back(Decoder(v));
+    std::unique_ptr<Operator> op =
+        Aggregated(std::move(env), q_.values, nullptr, nullptr);
+    const size_t nkeys = q_.values.size();
+    op->Open();
+    Row row;
+    while (op->Next(&row)) {
       SqlRow out;
       out.reserve(nkeys + q_.aggs.size());
       for (size_t i = 0; i < nkeys; ++i)
@@ -647,6 +710,8 @@ class Lowerer {
   const QueryParams& params_;
   std::unordered_map<uint64_t, Dict> dicts_;
   std::vector<std::pair<std::string, std::shared_ptr<uint64_t>>> join_counts_;
+  std::shared_ptr<uint64_t> pre_agg_groups_ = std::make_shared<uint64_t>(0);
+  std::shared_ptr<uint64_t> pre_agg_rows_ = std::make_shared<uint64_t>(0);
 };
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "sql/catalog.h"
 #include "sql/fuzz.h"
 #include "sql/reference_queries.h"
+#include "sql/sql.h"
 
 // The SQL front door's own contract (the cross-engine byte-identity of the
 // nine workload queries lives in sql_differential_test.cc):
@@ -26,7 +27,11 @@
 //    Tectorwise lowering and the Volcano interpreter;
 //  - the optimizer's pushdown + join ordering strictly reduce plan cost on
 //    join queries with an adversarial FROM order;
-//  - EXPLAIN exposes all four stages.
+//  - the catalog's unique-key flags are verified facts, and eager
+//    aggregation fires only across joins onto them, with results
+//    byte-identical to Volcano running the un-rewritten plan;
+//  - EXPLAIN exposes all four stages, and the optimized stage shows the
+//    hand plans' shapes for Q18 (pre-aggregated lineitem) and Q3 (lazy).
 
 namespace vcq {
 namespace {
@@ -355,6 +360,223 @@ TEST(SqlOptimizerTest, OptimizerConfigsAgreeOnResults) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Verified unique keys and eager aggregation
+// ---------------------------------------------------------------------------
+
+const sql::ColumnDef& CatalogColumn(const sql::Catalog& catalog,
+                                    const char* table, const char* column) {
+  const sql::TableDef* t = catalog.Find(table);
+  EXPECT_NE(t, nullptr) << table;
+  const sql::ColumnDef* c = t->Find(column);
+  EXPECT_NE(c, nullptr) << column;
+  return *c;
+}
+
+TEST(SqlCatalogTest, KeyColumnsReadUniqueOnlyWhenVerified) {
+  const sql::Catalog& catalog = *TpchCatalog();
+  for (const auto& [table, column] :
+       {std::pair{"orders", "o_orderkey"}, std::pair{"customer", "c_custkey"},
+        std::pair{"part", "p_partkey"}, std::pair{"supplier", "s_suppkey"}}) {
+    EXPECT_TRUE(CatalogColumn(catalog, table, column).stats.unique)
+        << column;
+  }
+  for (const auto& [table, column] :
+       {std::pair{"lineitem", "l_orderkey"}, std::pair{"orders", "o_custkey"},
+        std::pair{"partsupp", "ps_partkey"}}) {
+    EXPECT_FALSE(CatalogColumn(catalog, table, column).stats.unique)
+        << column;
+  }
+  // String columns carry no stats at all.
+  EXPECT_FALSE(CatalogColumn(catalog, "customer", "c_name").stats.unique);
+}
+
+enum class OrderKeys {
+  kUnique,          // odd numbers, stored in decreasing order
+  kRepeatFar,       // the same, with the largest key overwritten by 1
+  kRepeatAdjacent,  // odd numbers in increasing order, the second set to 1
+};
+
+/// orders(o_orderkey) ⋈ lineitem(l_orderkey, l_quantity) with four lines
+/// per order. The key range is wider than the row count, so the catalog
+/// cannot decide by pigeonhole and its order check or bitmap pass runs.
+Database SmallOrders(OrderKeys keys) {
+  constexpr size_t kOrders = 100;
+  Database db;
+  auto okey = db.Add("orders").AddColumn<int32_t>("o_orderkey", kOrders);
+  for (size_t i = 0; i < kOrders; ++i) {
+    const size_t rank =
+        keys == OrderKeys::kRepeatAdjacent ? i : kOrders - 1 - i;
+    okey[i] = static_cast<int32_t>(2 * rank + 1);
+  }
+  if (keys == OrderKeys::kRepeatFar) okey[0] = 1;
+  if (keys == OrderKeys::kRepeatAdjacent) okey[1] = 1;
+  runtime::Relation& lineitem = db.Add("lineitem");
+  auto lkey = lineitem.AddColumn<int32_t>("l_orderkey", 4 * kOrders);
+  auto qty = lineitem.AddColumn<int64_t>("l_quantity", 4 * kOrders);
+  for (size_t i = 0; i < 4 * kOrders; ++i) {
+    lkey[i] = static_cast<int32_t>(2 * (i / 4) + 1);
+    qty[i] = static_cast<int64_t>(100 * (i % 7 + 1));
+  }
+  return db;
+}
+
+/// Compiles `text` with the full optimizer and with join ordering off
+/// (which also disables eager aggregation); Tectorwise at 1 and 4 threads
+/// and Volcano on the optimized plan must all equal Volcano on the
+/// un-rewritten one. Returns the optimized compile.
+std::shared_ptr<const sql::CompiledQuery> AgreesWithUnrewritten(
+    std::shared_ptr<const sql::Catalog> catalog, std::string_view text) {
+  sql::CompileResult full = sql::Compile(catalog, text);
+  EXPECT_TRUE(full.ok()) << (full.error ? full.error->Format() : "") << text;
+  sql::OptimizerOptions unordered;
+  unordered.join_order = false;
+  sql::CompileResult plain = sql::Compile(catalog, text, unordered);
+  EXPECT_TRUE(plain.ok());
+  if (!full.ok() || !plain.ok()) return nullptr;
+  EXPECT_FALSE(plain.query->plan().EagerAggregation());
+  QueryOptions one;
+  one.threads = 1;
+  const QueryResult reference = plain.query->RunVolcano(one, {});
+  EXPECT_FALSE(reference.rows.empty()) << text;
+  EXPECT_EQ(full.query->RunVolcano(one, {}), reference) << text;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    QueryOptions opt;
+    opt.threads = threads;
+    EXPECT_EQ(full.query->LowerTectorwise().Run(opt, {}), reference)
+        << text << "\n"
+        << threads << " threads\n"
+        << full.query->ExplainOptimized();
+  }
+  return full.query;
+}
+
+TEST(SqlCatalogTest, DuplicateKeyIsNotUniqueAndBlocksEagerAggregation) {
+  const char* q =
+      "SELECT o_orderkey, SUM(l_quantity) AS q, COUNT(*) AS n"
+      " FROM orders, lineitem WHERE l_orderkey = o_orderkey"
+      " GROUP BY o_orderkey ORDER BY o_orderkey";
+  const Database clean = SmallOrders(OrderKeys::kUnique);
+  const auto clean_catalog = sql::MakeCatalog(clean);
+  EXPECT_TRUE(
+      CatalogColumn(*clean_catalog, "orders", "o_orderkey").stats.unique);
+  const auto eager = AgreesWithUnrewritten(clean_catalog, q);
+  ASSERT_NE(eager, nullptr);
+  EXPECT_TRUE(eager->plan().EagerAggregation())
+      << eager->ExplainOptimized();
+
+  // One repeated key: order 1 now matches its lines twice, which the
+  // rewrite would miss — so it must not fire.
+  for (const OrderKeys keys :
+       {OrderKeys::kRepeatFar, OrderKeys::kRepeatAdjacent}) {
+    const Database dup = SmallOrders(keys);
+    const auto dup_catalog = sql::MakeCatalog(dup);
+    EXPECT_FALSE(
+        CatalogColumn(*dup_catalog, "orders", "o_orderkey").stats.unique);
+    const auto lazy = AgreesWithUnrewritten(dup_catalog, q);
+    ASSERT_NE(lazy, nullptr);
+    EXPECT_FALSE(lazy->plan().EagerAggregation())
+        << lazy->ExplainOptimized();
+  }
+}
+
+TEST(SqlEagerAggregationTest, RewrittenShapesMatchUnrewrittenPlan) {
+  const char* rewritten[] = {
+      // COUNT(*) only.
+      "SELECT o_orderkey, o_orderdate, COUNT(*) AS n FROM orders, lineitem"
+      " WHERE l_orderkey = o_orderkey GROUP BY o_orderkey, o_orderdate"
+      " ORDER BY n DESC, o_orderkey LIMIT 20",
+      // MIN/MAX, a date among them, and a filter on the grouped table.
+      "SELECT o_orderkey, MIN(l_shipdate) AS first, MAX(l_extendedprice) AS"
+      " top FROM lineitem, orders WHERE l_orderkey = o_orderkey"
+      " AND l_discount < 0.05 GROUP BY o_orderkey ORDER BY top DESC, 1"
+      " LIMIT 20",
+      // AVG = SUM plus a hidden COUNT, two N:1 hops, the key grouped on
+      // the grouped table's side.
+      "SELECT c_name, l_orderkey, AVG(l_quantity) AS a FROM customer,"
+      " orders, lineitem WHERE c_custkey = o_custkey AND l_orderkey ="
+      " o_orderkey GROUP BY c_name, l_orderkey ORDER BY a DESC, l_orderkey"
+      " LIMIT 20",
+      // HAVING on an aggregate that is not in the select list.
+      "SELECT o_orderkey, SUM(l_extendedprice) AS v FROM orders, lineitem"
+      " WHERE l_orderkey = o_orderkey GROUP BY o_orderkey"
+      " HAVING COUNT(*) > 5 ORDER BY v DESC, o_orderkey",
+  };
+  for (const char* q : rewritten) {
+    const auto c = AgreesWithUnrewritten(TpchCatalog(), q);
+    ASSERT_NE(c, nullptr);
+    EXPECT_TRUE(c->plan().EagerAggregation()) << q << "\n"
+                                              << c->ExplainOptimized();
+  }
+  const char* lazy[] = {
+      // The GROUP BY lacks the join key: an order's lines land in groups
+      // of other orders.
+      "SELECT o_orderdate, SUM(l_quantity) AS q FROM orders, lineitem"
+      " WHERE l_orderkey = o_orderkey GROUP BY o_orderdate"
+      " ORDER BY q DESC, o_orderdate LIMIT 20",
+      // Aggregates over two tables.
+      sql::SqlTextFor("Q9"),
+      // A group key computed from the grouped table.
+      "SELECT o_orderkey, EXTRACT(YEAR FROM l_shipdate) AS y, COUNT(*) AS n"
+      " FROM orders, lineitem WHERE l_orderkey = o_orderkey"
+      " GROUP BY o_orderkey, EXTRACT(YEAR FROM l_shipdate)"
+      " ORDER BY n DESC, 1, 2 LIMIT 20",
+  };
+  for (const char* q : lazy) {
+    sql::CompileResult c = CompileTpch(q);
+    ASSERT_TRUE(c.ok()) << q;
+    EXPECT_FALSE(c.query->plan().EagerAggregation())
+        << q << "\n"
+        << c.query->ExplainOptimized();
+  }
+  // Q9 with its spec binding, through the same oracle.
+  const std::string q9 = [] {
+    std::string t = sql::SqlTextFor("Q9");
+    t.replace(t.find("$color"), 6, "'%green%'");
+    return t;
+  }();
+  AgreesWithUnrewritten(TpchCatalog(), q9);
+}
+
+TEST(SqlExplainTest, OptimizedStageShowsHandPlanShapes) {
+  // Q18: lineitem grouped by orderkey, HAVING applied there, and that
+  // group-by the build side of the orders join — the hand plan.
+  sql::CompileResult q18 = CompileTpch(sql::SqlTextFor("Q18"));
+  ASSERT_TRUE(q18.ok());
+  EXPECT_TRUE(q18.query->plan().EagerAggregation());
+  const std::string text = q18.query->ExplainOptimized();
+  std::vector<std::string> lines;
+  for (size_t at = 0; at < text.size();) {
+    const size_t end = text.find('\n', at);
+    lines.push_back(text.substr(at, end - at));
+    at = end + 1;
+  }
+  auto indent = [](const std::string& l) { return l.find_first_not_of(' '); };
+  size_t join = lines.size();
+  for (size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].find("hashjoin") != std::string::npos &&
+        lines[i].find("on lineitem.l_orderkey = orders.o_orderkey") !=
+            std::string::npos)
+      join = i;
+  ASSERT_LT(join + 1, lines.size()) << text;
+  // The build child is the first line below the join, one level deeper.
+  const std::string& build = lines[join + 1];
+  EXPECT_EQ(indent(build), indent(lines[join]) + 2) << text;
+  EXPECT_EQ(build.find("group lineitem by lineitem.l_orderkey having [sum("),
+            indent(build))
+      << text;
+  EXPECT_GT(indent(lines[join]), 0u) << "the orders join is below a join\n"
+                                     << text;
+  EXPECT_EQ(lines.back(), "project (aggregated below the joins)") << text;
+
+  // Q3 qualifies structurally but its filters make the lazy plan cheaper.
+  sql::CompileResult q3 = CompileTpch(sql::SqlTextFor("Q3"));
+  ASSERT_TRUE(q3.ok());
+  EXPECT_FALSE(q3.query->plan().EagerAggregation());
+  EXPECT_EQ(q3.query->ExplainOptimized().find("group lineitem"),
+            std::string::npos);
 }
 
 TEST(SqlFuzzTest, SmokeSeedsAgreeAcrossEngines) {
