@@ -6,8 +6,9 @@
 // (Select output, hash-join probe output, group-by input) merge those
 // sparse batches into full dense vectors. This bench sweeps filter
 // selectivity x policy on a TPC-H Q9-shaped filter -> 4 joins -> group-by
-// pipeline and reports runtime, average batch density, and compaction
-// counts. "vs never" uses medians of per-rep paired ratios, which are
+// plan and reports runtime plus, from one traced run per cell, the
+// non-empty batches leaving the Select and join outputs and their average
+// density. "vs never" uses medians of per-rep paired ratios, which are
 // robust against the slow clock drift of shared machines.
 
 #include <algorithm>
@@ -20,18 +21,20 @@
 #include "benchutil/bench.h"
 #include "common/env_util.h"
 #include "runtime/relation.h"
-#include "runtime/worker_pool.h"
-#include "tectorwise/hash_group.h"
-#include "tectorwise/hash_join.h"
-#include "tectorwise/operators.h"
+#include "runtime/trace.h"
+#include "tectorwise/plan.h"
 #include "tectorwise/primitives_simd.h"
-#include "tectorwise/steps.h"
 
 namespace {
 
 using namespace vcq;
-using namespace vcq::tectorwise;
 using runtime::Relation;
+using tectorwise::CmpOp;
+using tectorwise::ColumnRef;
+using tectorwise::NodeKind;
+using tectorwise::PlanBuilder;
+using tectorwise::PlanNode;
+namespace simd = tectorwise::simd;
 
 constexpr int32_t kFilterDomain = 100000;  // f_filter uniform in [0, domain)
 
@@ -81,192 +84,117 @@ Tables MakeTables(size_t fact_rows, size_t dim_rows) {
   return t;
 }
 
-/// Q9-shaped pipeline: filter(f_filter < cutoff) -> three dimension joins
+/// Q9-shaped plan: filter(f_filter < cutoff) -> four dimension joins
 /// (carrying a Q9-sized payload through each) -> group by d_group with
-/// three aggregate sums.
-int64_t RunPipeline(const Tables& t, const ExecContext& ctx,
-                    int32_t cutoff) {
-  Scan::Shared scan_fact(t.fact.tuple_count());
-  Scan::Shared scan_dim1(t.dim1.tuple_count());
-  Scan::Shared scan_dim2(t.dim2.tuple_count());
-  Scan::Shared scan_dim3(t.dim3.tuple_count());
-  Scan::Shared scan_dim4(t.dim4.tuple_count());
-  HashJoin::Shared join1_shared(1);
-  HashJoin::Shared join2_shared(1);
-  HashJoin::Shared join3_shared(1);
-  HashJoin::Shared join4_shared(1);
-  HashGroup::Shared group_shared(1);
+/// five aggregate sums. The Select's compaction registrations are derived
+/// by the plan builder.
+tectorwise::Plan BuildPlan(const Tables& t, int32_t cutoff,
+                           std::vector<ColumnRef>* sums) {
+  PlanBuilder pb("compaction_ablation");
+  auto& fscan = pb.Scan(t.fact, "fact");
+  ColumnRef key[4] = {fscan.Col<int32_t>("f_key1"),
+                      fscan.Col<int32_t>("f_key2"),
+                      fscan.Col<int32_t>("f_key3"),
+                      fscan.Col<int32_t>("f_key4")};
+  const ColumnRef f_filter = fscan.Col<int32_t>("f_filter");
+  // Payload carried through every join: val, price, disc, qty, cost.
+  std::vector<ColumnRef> payload;
+  for (const char* name : {"f_val", "f_price", "f_disc", "f_qty", "f_cost"})
+    payload.push_back(fscan.Col<int64_t>(name));
+  auto& select = pb.Select(fscan);
+  select.Cmp<int32_t>(f_filter, CmpOp::kLess, cutoff);
 
-  auto d1scan = std::make_unique<Scan>(&scan_dim1, &t.dim1, ctx.vector_size);
-  Slot* d1_key = d1scan->AddColumn<int32_t>("d_key");
-  Slot* d1_pay = d1scan->AddColumn<int64_t>("d_pay");
-
-  auto d2scan = std::make_unique<Scan>(&scan_dim2, &t.dim2, ctx.vector_size);
-  Slot* d2_key = d2scan->AddColumn<int32_t>("d_key");
-  Slot* d2_group = d2scan->AddColumn<int32_t>("d_group");
-  Slot* d2_pay = d2scan->AddColumn<int64_t>("d_pay");
-
-  auto d3scan = std::make_unique<Scan>(&scan_dim3, &t.dim3, ctx.vector_size);
-  Slot* d3_key = d3scan->AddColumn<int32_t>("d_key");
-  Slot* d3_pay = d3scan->AddColumn<int64_t>("d_pay");
-
-  auto d4scan = std::make_unique<Scan>(&scan_dim4, &t.dim4, ctx.vector_size);
-  Slot* d4_key = d4scan->AddColumn<int32_t>("d_key");
-  Slot* d4_pay = d4scan->AddColumn<int64_t>("d_pay");
-
-  auto fscan = std::make_unique<Scan>(&scan_fact, &t.fact, ctx.vector_size);
-  Slot* f_key1 = fscan->AddColumn<int32_t>("f_key1");
-  Slot* f_key2 = fscan->AddColumn<int32_t>("f_key2");
-  Slot* f_key3 = fscan->AddColumn<int32_t>("f_key3");
-  Slot* f_key4 = fscan->AddColumn<int32_t>("f_key4");
-  Slot* f_filter = fscan->AddColumn<int32_t>("f_filter");
-  Slot* f_val = fscan->AddColumn<int64_t>("f_val");
-  Slot* f_price = fscan->AddColumn<int64_t>("f_price");
-  Slot* f_disc = fscan->AddColumn<int64_t>("f_disc");
-  Slot* f_qty = fscan->AddColumn<int64_t>("f_qty");
-  Slot* f_cost = fscan->AddColumn<int64_t>("f_cost");
-
-  auto select = std::make_unique<Select>(std::move(fscan), ctx);
-  select->AddStep(MakeSelCmp<int32_t>(ctx, f_filter, CmpOp::kLess, cutoff));
-  CompactColumn<int32_t>(ctx, select->compactor(), f_key1);
-  CompactColumn<int32_t>(ctx, select->compactor(), f_key2);
-  CompactColumn<int32_t>(ctx, select->compactor(), f_key3);
-  CompactColumn<int32_t>(ctx, select->compactor(), f_key4);
-  CompactColumn<int64_t>(ctx, select->compactor(), f_val);
-  CompactColumn<int64_t>(ctx, select->compactor(), f_price);
-  CompactColumn<int64_t>(ctx, select->compactor(), f_disc);
-  CompactColumn<int64_t>(ctx, select->compactor(), f_qty);
-  CompactColumn<int64_t>(ctx, select->compactor(), f_cost);
-
-  auto hj1 = std::make_unique<HashJoin>(&join1_shared, std::move(d1scan),
-                                        std::move(select), ctx);
-  const size_t f1_key = hj1->AddBuildField<int32_t>(d1_key);
-  const size_t f1_pay = hj1->AddBuildField<int64_t>(d1_pay);
-  hj1->SetBuildHash(MakeHash<int32_t>(ctx, d1_key));
-  hj1->SetProbeHash(MakeHash<int32_t>(ctx, f_key1));
-  hj1->AddKeyCompare<int32_t>(f_key1, f1_key);
-  Slot* j1_pay = hj1->AddBuildOutput<int64_t>(f1_pay);
-  Slot* j1_key2 = hj1->AddProbeOutput<int32_t>(f_key2);
-  Slot* j1_key3 = hj1->AddProbeOutput<int32_t>(f_key3);
-  Slot* j1_key4 = hj1->AddProbeOutput<int32_t>(f_key4);
-  Slot* j1_val = hj1->AddProbeOutput<int64_t>(f_val);
-  Slot* j1_price = hj1->AddProbeOutput<int64_t>(f_price);
-  Slot* j1_disc = hj1->AddProbeOutput<int64_t>(f_disc);
-  Slot* j1_qty = hj1->AddProbeOutput<int64_t>(f_qty);
-  Slot* j1_cost = hj1->AddProbeOutput<int64_t>(f_cost);
-
-  auto hj2 = std::make_unique<HashJoin>(&join2_shared, std::move(d2scan),
-                                        std::move(hj1), ctx);
-  const size_t f2_key = hj2->AddBuildField<int32_t>(d2_key);
-  const size_t f2_group = hj2->AddBuildField<int32_t>(d2_group);
-  const size_t f2_pay = hj2->AddBuildField<int64_t>(d2_pay);
-  hj2->SetBuildHash(MakeHash<int32_t>(ctx, d2_key));
-  hj2->SetProbeHash(MakeHash<int32_t>(ctx, j1_key2));
-  hj2->AddKeyCompare<int32_t>(j1_key2, f2_key);
-  Slot* j2_group = hj2->AddBuildOutput<int32_t>(f2_group);
-  Slot* j2_pay = hj2->AddBuildOutput<int64_t>(f2_pay);
-  Slot* j2_key3 = hj2->AddProbeOutput<int32_t>(j1_key3);
-  Slot* j2_key4 = hj2->AddProbeOutput<int32_t>(j1_key4);
-  Slot* j2_pay1 = hj2->AddProbeOutput<int64_t>(j1_pay);
-  Slot* j2_val0 = hj2->AddProbeOutput<int64_t>(j1_val);
-  Slot* j2_price0 = hj2->AddProbeOutput<int64_t>(j1_price);
-  Slot* j2_disc0 = hj2->AddProbeOutput<int64_t>(j1_disc);
-  Slot* j2_qty0 = hj2->AddProbeOutput<int64_t>(j1_qty);
-  Slot* j2_cost0 = hj2->AddProbeOutput<int64_t>(j1_cost);
-
-  auto hj3 = std::make_unique<HashJoin>(&join3_shared, std::move(d3scan),
-                                        std::move(hj2), ctx);
-  const size_t f3_key = hj3->AddBuildField<int32_t>(d3_key);
-  const size_t f3_pay = hj3->AddBuildField<int64_t>(d3_pay);
-  hj3->SetBuildHash(MakeHash<int32_t>(ctx, d3_key));
-  hj3->SetProbeHash(MakeHash<int32_t>(ctx, j2_key3));
-  hj3->AddKeyCompare<int32_t>(j2_key3, f3_key);
-  Slot* j3_pay = hj3->AddBuildOutput<int64_t>(f3_pay);
-  Slot* j3_key4 = hj3->AddProbeOutput<int32_t>(j2_key4);
-  Slot* j3_group = hj3->AddProbeOutput<int32_t>(j2_group);
-  Slot* j3_pay2 = hj3->AddProbeOutput<int64_t>(j2_pay);
-  Slot* j3_pay1 = hj3->AddProbeOutput<int64_t>(j2_pay1);
-  Slot* j3_val = hj3->AddProbeOutput<int64_t>(j2_val0);
-  Slot* j3_price = hj3->AddProbeOutput<int64_t>(j2_price0);
-  Slot* j3_disc = hj3->AddProbeOutput<int64_t>(j2_disc0);
-  Slot* j3_qty = hj3->AddProbeOutput<int64_t>(j2_qty0);
-  Slot* j3_cost = hj3->AddProbeOutput<int64_t>(j2_cost0);
-
-  auto hj4 = std::make_unique<HashJoin>(&join4_shared, std::move(d4scan),
-                                        std::move(hj3), ctx);
-  const size_t f4_key = hj4->AddBuildField<int32_t>(d4_key);
-  const size_t f4_pay = hj4->AddBuildField<int64_t>(d4_pay);
-  hj4->SetBuildHash(MakeHash<int32_t>(ctx, d4_key));
-  hj4->SetProbeHash(MakeHash<int32_t>(ctx, j3_key4));
-  hj4->AddKeyCompare<int32_t>(j3_key4, f4_key);
-  Slot* j4_pay = hj4->AddBuildOutput<int64_t>(f4_pay);
-  Slot* j4_pay3 = hj4->AddProbeOutput<int64_t>(j3_pay);
-  Slot* j4_group = hj4->AddProbeOutput<int32_t>(j3_group);
-  Slot* j4_pay2 = hj4->AddProbeOutput<int64_t>(j3_pay2);
-  Slot* j4_pay1 = hj4->AddProbeOutput<int64_t>(j3_pay1);
-  Slot* j4_val = hj4->AddProbeOutput<int64_t>(j3_val);
-  Slot* j4_price = hj4->AddProbeOutput<int64_t>(j3_price);
-  Slot* j4_disc = hj4->AddProbeOutput<int64_t>(j3_disc);
-  Slot* j4_qty = hj4->AddProbeOutput<int64_t>(j3_qty);
-  Slot* j4_cost = hj4->AddProbeOutput<int64_t>(j3_cost);
-
-  auto map = std::make_unique<Map>(std::move(hj4), ctx.vector_size);
-  Slot* product = map->AddOutput<int64_t>();
-  Slot* amount = map->AddOutput<int64_t>();
-  Slot* revenue = map->AddOutput<int64_t>();
-  map->AddStep(MakeMapMul<int64_t>(j4_val, j4_pay1,
-                                   map->OutputData<int64_t>(product)));
-  map->AddStep(MakeMapAddConst<int64_t>(0, j4_pay2,
-                                        map->OutputData<int64_t>(amount)));
-  map->AddStep(
-      MakeMapMul<int64_t>(product, amount, map->OutputData<int64_t>(amount)));
-  map->AddStep(MakeMapRSubConst<int64_t>(100, j4_disc,
-                                         map->OutputData<int64_t>(revenue)));
-  map->AddStep(MakeMapMul<int64_t>(j4_price, revenue,
-                                   map->OutputData<int64_t>(revenue)));
-  map->AddStep(MakeMapMul<int64_t>(revenue, j4_pay3,
-                                   map->OutputData<int64_t>(revenue)));
-  map->AddStep(MakeMapMul<int64_t>(revenue, j4_pay,
-                                   map->OutputData<int64_t>(revenue)));
-  Slot* supply = map->AddOutput<int64_t>();
-  map->AddStep(MakeMapMul<int64_t>(j4_cost, j4_qty,
-                                   map->OutputData<int64_t>(supply)));
-  map->AddStep(MakeMapSub<int64_t>(revenue, supply,
-                                   map->OutputData<int64_t>(supply)));
-
-  auto group = std::make_unique<HashGroup>(&group_shared, 0, 1,
-                                           std::move(map), ctx);
-  const size_t k_group = group->AddKey<int32_t>(j4_group);
-  const size_t a_sum = group->AddSumAgg(amount);
-  const size_t a_rev = group->AddSumAgg(revenue);
-  const size_t a_val = group->AddSumAgg(j4_val);
-  const size_t a_supply = group->AddSumAgg(supply);
-  const size_t a_qty = group->AddSumAgg(j4_qty);
-  Slot* g_group = group->AddOutput<int32_t>(k_group);
-  Slot* g_sum = group->AddOutput<int64_t>(a_sum);
-  Slot* g_rev = group->AddOutput<int64_t>(a_rev);
-  Slot* g_val = group->AddOutput<int64_t>(a_val);
-  Slot* g_supply = group->AddOutput<int64_t>(a_supply);
-  Slot* g_qty = group->AddOutput<int64_t>(a_qty);
-  (void)g_group;
-
-  int64_t total = 0;
-  size_t n;
-  while ((n = group->Next()) != kEndOfStream) {
-    for (size_t k = 0; k < n; ++k) {
-      total += Get<int64_t>(g_sum)[k] + Get<int64_t>(g_rev)[k] +
-               Get<int64_t>(g_val)[k] + Get<int64_t>(g_supply)[k] +
-               Get<int64_t>(g_qty)[k];
-    }
+  // Each join adds its dimension's d_pay (and dim2 the group key) to the
+  // payload and forwards the probe keys still to be joined.
+  const Relation* dims[4] = {&t.dim1, &t.dim2, &t.dim3, &t.dim4};
+  PlanNode* probe = &select;
+  ColumnRef group_key;
+  ColumnRef pay[4];
+  for (int d = 0; d < 4; ++d) {
+    auto& dscan = pb.Scan(*dims[d], "dim" + std::to_string(d + 1));
+    const ColumnRef d_key = dscan.Col<int32_t>("d_key");
+    const ColumnRef d_pay = dscan.Col<int64_t>("d_pay");
+    const ColumnRef d_group =
+        d == 1 ? dscan.Col<int32_t>("d_group") : ColumnRef{};
+    auto& join = pb.HashJoin(dscan, *probe);
+    join.Key<int32_t>(key[d], d_key);
+    for (int k = d + 1; k < 4; ++k) key[k] = join.Probe<int32_t>(key[k]);
+    for (ColumnRef& col : payload) col = join.Probe<int64_t>(col);
+    for (int k = 0; k < d; ++k) pay[k] = join.Probe<int64_t>(pay[k]);
+    if (group_key.valid()) group_key = join.Probe<int32_t>(group_key);
+    if (d_group.valid()) group_key = join.Build<int32_t>(d_group);
+    pay[d] = join.Build<int64_t>(d_pay);
+    probe = &join;
   }
+  const ColumnRef val = payload[0], price = payload[1], disc = payload[2],
+                  qty = payload[3], cost = payload[4];
+
+  auto& map = pb.Map(*probe);
+  const ColumnRef product = map.Mul<int64_t>(val, pay[0], "product");
+  const ColumnRef amount = map.Mul<int64_t>(product, pay[1], "amount");
+  const ColumnRef net = map.RSubConst<int64_t>(100, disc, "net");
+  ColumnRef revenue = map.Mul<int64_t>(price, net, "revenue");
+  revenue = map.Mul<int64_t>(revenue, pay[2], "revenue3");
+  revenue = map.Mul<int64_t>(revenue, pay[3], "revenue4");
+  const ColumnRef spend = map.Mul<int64_t>(cost, qty, "spend");
+  const ColumnRef supply = map.Sub<int64_t>(revenue, spend, "supply");
+
+  auto& group = pb.HashGroup(map);
+  group.Key<int32_t>(group_key);
+  for (const ColumnRef col : {amount, revenue, val, supply, qty})
+    sums->push_back(group.Sum(col));
+  return pb.Build(group, *sums);
+}
+
+/// Runs `plan` once and returns the checksum of its group sums.
+int64_t RunPlan(const tectorwise::Plan& plan,
+                const std::vector<ColumnRef>& sums,
+                const runtime::QueryOptions& opt) {
+  int64_t total = 0;
+  plan.Run(opt, [&](const tectorwise::Plan::Batch& batch) {
+    for (const ColumnRef sum : sums) {
+      for (size_t k = 0; k < batch.size(); ++k)
+        total += batch.Value<int64_t>(sum, k);
+    }
+  });
   return total;
 }
 
-const char* PolicyName(CompactionPolicy policy) {
-  switch (policy) {
-    case CompactionPolicy::kNever: return "never";
-    case CompactionPolicy::kAlways: return "always";
-    case CompactionPolicy::kAdaptive: return "adaptive";
+/// Batch statistics at the compaction points (the Select and join outputs)
+/// of one traced run: non-empty batches and rows per batch slot.
+struct PointStats {
+  uint64_t batches = 0;
+  double density = 0;
+};
+
+PointStats TracedPointStats(const tectorwise::Plan& plan,
+                            const std::vector<ColumnRef>& sums,
+                            runtime::QueryOptions opt) {
+  runtime::QueryTrace trace;
+  opt.trace = runtime::TraceLevel::kSpans;
+  opt.trace_sink = &trace;
+  RunPlan(plan, sums, opt);
+  const std::vector<tectorwise::Plan::NodeInfo> infos = plan.Describe();
+  uint64_t rows = 0;
+  PointStats stats;
+  for (uint32_t i = 0; i < infos.size(); ++i) {
+    if (infos[i].kind != NodeKind::kSelect &&
+        infos[i].kind != NodeKind::kHashJoin)
+      continue;
+    const runtime::QueryTrace::OperatorStats op = trace.OperatorAt(i);
+    rows += op.rows;
+    stats.batches += op.batches;
+  }
+  stats.density = static_cast<double>(rows) /
+                  static_cast<double>(stats.batches * opt.vector_size);
+  return stats;
+}
+
+const char* PolicyName(runtime::CompactionMode mode) {
+  switch (mode) {
+    case runtime::CompactionMode::kNever: return "never";
+    case runtime::CompactionMode::kAlways: return "always";
+    case runtime::CompactionMode::kAdaptive: return "adaptive";
   }
   return "?";
 }
@@ -296,41 +224,38 @@ int main() {
   const Tables tables = MakeTables(fact_rows, dim_rows);
   const double selectivities[] = {100, 50, 25, 10, 5, 2, 1, 0.5, 0.25};
   constexpr size_t kPolicies = 3;
-  const CompactionPolicy policies[kPolicies] = {CompactionPolicy::kNever,
-                                                CompactionPolicy::kAlways,
-                                                CompactionPolicy::kAdaptive};
+  const runtime::CompactionMode policies[kPolicies] = {
+      runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
+      runtime::CompactionMode::kAdaptive};
 
   benchutil::Table table({"sel %", "policy", "ms", "vs never", "density",
-                          "compactions"});
+                          "batches"});
   bool results_agree = true;
-  auto& telemetry = CompactionTelemetry::Global();
   for (const double sel_pct : selectivities) {
     const int32_t cutoff =
         static_cast<int32_t>(sel_pct / 100.0 * kFilterDomain);
-    ExecContext ctxs[kPolicies];
+    std::vector<ColumnRef> sums;
+    const tectorwise::Plan plan = BuildPlan(tables, cutoff, &sums);
+    runtime::QueryOptions opts[kPolicies];
     std::vector<double> times[kPolicies];
     int64_t totals[kPolicies] = {0, 0, 0};
-    CompactionTelemetry::Snapshot stats[kPolicies];
     for (size_t p = 0; p < kPolicies; ++p) {
-      ctxs[p].vector_size = vector_size;
-      ctxs[p].use_simd = simd::Available();
-      ctxs[p].compaction = policies[p];
-      ctxs[p].compaction_threshold = threshold;
+      opts[p].vector_size = vector_size;
+      opts[p].simd = simd::Available();
+      opts[p].compaction = policies[p];
+      opts[p].compaction_threshold = threshold;
     }
     // Policies are interleaved within each rep so slow clock drift (single
     // shared core) biases all three equally; the median is taken per
     // policy across reps. Rep -1 warms page cache and allocators.
     for (int rep = -1; rep < reps; ++rep) {
       for (size_t p = 0; p < kPolicies; ++p) {
-        telemetry.Reset();
         const auto start = std::chrono::steady_clock::now();
-        totals[p] = RunPipeline(tables, ctxs[p], cutoff);
+        totals[p] = RunPlan(plan, sums, opts[p]);
         const double ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-        if (rep < 0) continue;
-        times[p].push_back(ms);
-        stats[p] = telemetry.Take();
+        if (rep >= 0) times[p].push_back(ms);
       }
     }
     for (size_t p = 0; p < kPolicies; ++p) {
@@ -346,19 +271,20 @@ int main() {
       std::sort(sorted.begin(), sorted.end());
       const double ms = sorted[sorted.size() / 2];
       if (totals[p] != totals[0]) results_agree = false;
+      // Density and batch counts come from one separate traced run, so
+      // the timed runs above carry no recording cost.
+      const PointStats stats = TracedPointStats(plan, sums, opts[p]);
       table.AddRow({benchutil::Fmt(sel_pct, 1), PolicyName(policies[p]),
                     benchutil::Fmt(ms, 2), benchutil::Fmt(speedup, 2) + "x",
-                    benchutil::FmtCounter(stats[p].AvgDensity(), 3),
-                    benchutil::Fmt(static_cast<double>(stats[p].compactions),
-                                   0)});
+                    benchutil::FmtCounter(stats.density, 3),
+                    std::to_string(stats.batches)});
       // Machine-readable line for BENCH_*.json trajectories.
       std::printf(
           "JSON {\"bench\":\"ablation_compaction\",\"sel_pct\":%g,"
           "\"policy\":\"%s\",\"ms\":%.3f,\"speedup_vs_never\":%.3f,"
-          "\"avg_density\":%.4f,\"compactions\":%llu}\n",
-          sel_pct, PolicyName(policies[p]), ms, speedup,
-          stats[p].AvgDensity(),
-          static_cast<unsigned long long>(stats[p].compactions));
+          "\"avg_density\":%.4f,\"batches\":%llu}\n",
+          sel_pct, PolicyName(policies[p]), ms, speedup, stats.density,
+          static_cast<unsigned long long>(stats.batches));
     }
   }
   table.Print();

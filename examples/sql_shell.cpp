@@ -178,7 +178,6 @@ int main(int argc, char** argv) {
       vcq::runtime::QueryOptions traced = opt;
       traced.trace = vcq::runtime::TraceLevel::kSpans;
       traced.trace_sink = &trace;
-      traced.telemetry = &trace.node_telemetry();
       const auto start = std::chrono::steady_clock::now();
       const vcq::runtime::QueryResult result = prepared.Run(traced, params);
       const double ms = std::chrono::duration<double, std::milli>(

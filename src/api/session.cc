@@ -16,7 +16,6 @@
 
 #include "common/check.h"
 #include "runtime/fault_injector.h"
-#include "runtime/hashmap.h"
 #include "runtime/metrics.h"
 #include "runtime/resource_governor.h"
 #include "runtime/scheduler.h"
@@ -501,20 +500,10 @@ struct PreparedQuery::Impl {
     }
     // Tuned executions draw one arm per knob from the bandit, overlay the
     // query-level arms onto the run options (Typer ROF, Tectorwise vector
-    // size), and hand the per-node arms + telemetry sink to the engines.
-    // The draw is inside the try: the tuner's bookkeeping allocates, so it
-    // is a named fault point of the managed run.
+    // size), and hand the per-node arms to the engines. The draw is inside
+    // the try: the tuner's bookkeeping allocates, so it is a named fault
+    // point of the managed run.
     KnobChoices choices;
-    runtime::NodeTelemetry local_telemetry;
-    // The recording-path unification (runtime/trace.h): a traced run
-    // points the engines' per-site telemetry at the trace's embedded
-    // NodeTelemetry, so the join-build protocol records its build span
-    // once and BOTH consumers — the tuner's reward and ExplainAnalyze's
-    // build/probe split — read the same numbers. Untraced tuned runs keep
-    // a private sink; untraced untuned runs record nowhere, as before.
-    runtime::NodeTelemetry* telemetry =
-        trace != nullptr ? &trace->node_telemetry() : &local_telemetry;
-    if (trace != nullptr) run_opt.telemetry = telemetry;
     const bool tuned =
         tuner != nullptr && run_opt.tuning != TuningMode::kOff;
     uint64_t start_ns = 0;
@@ -527,8 +516,7 @@ struct PreparedQuery::Impl {
         // Degradation overrides beat the tuner's arms (see RunTweaks).
         if (tweaks.vector_size != 0) run_opt.vector_size = tweaks.vector_size;
         run_opt.knobs = &choices;
-        run_opt.telemetry = telemetry;
-        start_ns = runtime::JoinBuildTelemetry::NowNs();
+        start_ns = runtime::QueryTrace::NowNs();
       }
       switch (engine) {
         case Engine::kTyper:
@@ -565,8 +553,7 @@ struct PreparedQuery::Impl {
     // Feedback from a clean run only — an interrupted run's spans and peak
     // are partial and would poison both loops.
     if (tuned && run_opt.tuning == TuningMode::kLearn) {
-      tuner->Observe(choices, *telemetry,
-                     runtime::JoinBuildTelemetry::NowNs() - start_ns,
+      tuner->Observe(choices, runtime::QueryTrace::NowNs() - start_ns,
                      work_tuples);
     }
     size_t prev = measured_peak.load(std::memory_order_relaxed);
@@ -818,16 +805,16 @@ std::string FmtMs(uint64_t ns) {
 /// The Typer/Volcano half of EXPLAIN ANALYZE: fused pipelines have no
 /// operator DAG, so the measured units are the parallel regions the
 /// worker-pool facade spanned ("pipeline#k", tuples = the region's morsel
-/// work hint) plus the per-site join-build times the engines recorded into
-/// the trace's NodeTelemetry.
+/// work hint) plus one line per join-build span, in build order.
 std::string FormatPipelineSummary(const runtime::QueryTrace& trace) {
   struct Agg {
     uint64_t busy_ns = 0;
     uint64_t tuples = 0;
     uint32_t workers = 0;
   };
+  const std::vector<runtime::TraceSpan> spans = trace.Spans();
   std::map<uint32_t, Agg> pipes;  // keyed by region ordinal
-  for (const runtime::TraceSpan& span : trace.Spans()) {
+  for (const runtime::TraceSpan& span : spans) {
     if (std::string_view(span.cat) != "pipeline") continue;
     Agg& agg = pipes[span.site];
     agg.busy_ns += span.duration_ns();
@@ -849,15 +836,13 @@ std::string FormatPipelineSummary(const runtime::QueryTrace& trace) {
                   FmtMs(agg.busy_ns).c_str(), per_tuple);
     out += buf;
   }
-  const runtime::NodeTelemetry& telemetry = trace.node_telemetry();
-  for (uint32_t site = 0; site < runtime::NodeTelemetry::kMaxSites; ++site) {
-    const uint64_t ns = telemetry.SpanNs(site);
-    if (ns == 0) continue;
+  uint32_t build = 0;
+  for (const runtime::TraceSpan& span : spans) {
+    if (span.name != runtime::QueryTrace::kJoinBuild) continue;
     char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "  build site#%u  tuples=%llu time=%s\n", site,
-                  static_cast<unsigned long long>(telemetry.SpanTuples(site)),
-                  FmtMs(ns).c_str());
+    std::snprintf(buf, sizeof(buf), "  build#%u  tuples=%llu time=%s\n",
+                  build++, static_cast<unsigned long long>(span.tuples),
+                  FmtMs(span.duration_ns()).c_str());
     out += buf;
   }
   if (out.empty()) out = "  (no pipeline spans recorded)\n";

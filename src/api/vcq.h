@@ -125,9 +125,9 @@
 // decision the query's plan actually contains), each with a discrete arm
 // set whose default arm is exactly the static QueryOptions configuration.
 // Every kLearn execution draws one arm per knob (bounded exploration in a
-// seed-shuffled order, then UCB1 on measured ns/tuple — per-node spans
-// where telemetry exists, the query span otherwise) and feeds the
-// measured cost back; failed executions are never charged. kFrozen (or
+// seed-shuffled order, then UCB1 on the query's measured ns/tuple, which
+// every knob is charged because knobs are explored one at a time) and
+// feeds the measured cost back; failed executions are never charged. kFrozen (or
 // FreezeTuning()) resolves every knob to its best learned arm without
 // further exploration or state updates; kOff bypasses the tuner entirely
 // and behaves exactly like the pre-tuner statics — as does an untrained
@@ -187,17 +187,18 @@
 //   QueryResult::trace on success AND failure. The trace holds spans for
 //   every stage of the query's life — SQL parse/bind/optimize/lower (from
 //   PrepareSql, prepended to each execution), admission wait, gang
-//   dispatch, per-pipeline and per-operator execution, spill I/O,
-//   governor trips, retry backoffs and degradation-rung attempts — all on
-//   one monotonic clock. kOff (the default) allocates nothing and costs a
+//   dispatch, per-pipeline and per-operator execution, join builds, spill
+//   I/O, governor trips, retry backoffs and degradation-rung attempts —
+//   all on one monotonic clock. kOff (the default) allocates nothing and costs a
 //   null check per instrumentation point (tests/trace_test.cc asserts
 //   ≤2% on a Q6 microbench, and byte-identical results either way).
 //   Render as chrome://tracing JSON (QueryTrace::ToChromeJson, also
 //   engine_explorer --trace-json) or as the measured plan tree
 //   (PreparedQuery::ExplainAnalyze — per node: rows, batches, self time,
-//   ns/tuple, batch density, build/probe split, spill bytes). Traced runs
-//   point the tuner's NodeTelemetry at the trace, so the bandit's reward
-//   signal, EXPLAIN ANALYZE, and the benches all read the same numbers.
+//   ns per input tuple, batch density, build/probe split, spill bytes).
+//   The trace is the only per-execution record: EXPLAIN ANALYZE and the
+//   benches' build/probe split (benchutil::MeasureQuery) read the same
+//   join-build spans, and an untraced run records nothing.
 //
 //   Process-wide METRICS. A global registry of counters, gauges, and
 //   log2-bucketed histograms named vcq.<subsystem>.<what>[_total] —

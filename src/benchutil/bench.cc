@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <thread>
 
 #include "api/query_catalog.h"
 #include "common/env_util.h"
-#include "runtime/hashmap.h"
-#include "tectorwise/compaction.h"
+#include "runtime/trace.h"
 
 namespace vcq::benchutil {
 
@@ -32,9 +30,7 @@ double Measurement::InstructionsPerTuple() const {
   return counters.instructions / static_cast<double>(tuples);
 }
 
-/// Median timing over `reps` runs; the Measurement still lacks the
-/// instrumented-run telemetry when this returns.
-Measurement MeasureTimes(const std::function<void()>& fn, int reps) {
+Measurement Measure(const std::function<void()>& fn, int reps) {
   Measurement m;
   std::vector<double> times;
   times.reserve(reps);
@@ -48,71 +44,6 @@ Measurement MeasureTimes(const std::function<void()>& fn, int reps) {
   return m;
 }
 
-Measurement Measure(const std::function<void()>& fn, int reps) {
-  Measurement m = MeasureTimes(fn, reps);
-  auto& telemetry = tectorwise::CompactionTelemetry::Global();
-  telemetry.Reset();
-  auto& build_telemetry = runtime::JoinBuildTelemetry::Global();
-  build_telemetry.Reset();
-  runtime::PerfCounters counters;
-  counters.Start();
-  const double instr_start = Now();
-  fn();
-  const double instr_ms = Now() - instr_start;
-  m.counters = counters.Stop();
-  const auto density = telemetry.Take();
-  m.avg_density = density.AvgDensity();
-  m.compactions = static_cast<double>(density.compactions);
-  m.build_ms = static_cast<double>(build_telemetry.total_ns()) / 1e6;
-  m.probe_ms = std::max(0.0, instr_ms - m.build_ms);
-  return m;
-}
-
-Measurement MeasureTraced(
-    const std::function<void()>& fn,
-    const std::function<std::shared_ptr<const runtime::QueryTrace>()>&
-        traced_fn,
-    size_t vector_size, int reps) {
-  Measurement m = MeasureTimes(fn, reps);
-  runtime::PerfCounters counters;
-  counters.Start();
-  const double instr_start = Now();
-  const std::shared_ptr<const runtime::QueryTrace> trace = traced_fn();
-  const double instr_ms = Now() - instr_start;
-  m.counters = counters.Stop();
-  if (trace == nullptr) {
-    m.avg_density = std::numeric_limits<double>::quiet_NaN();
-    m.probe_ms = instr_ms;
-    return m;
-  }
-  // Build span: the per-site join-build wall spans the build protocol
-  // recorded into the trace's NodeTelemetry — per-run state, so two
-  // benches (or a concurrent server) can no longer cross-contaminate the
-  // global counters the legacy path drains.
-  uint64_t build_ns = 0;
-  for (uint32_t site = 0; site < runtime::NodeTelemetry::kMaxSites; ++site)
-    build_ns += trace->node_telemetry().SpanNs(site);
-  m.build_ms = static_cast<double>(build_ns) / 1e6;
-  m.probe_ms = std::max(0.0, instr_ms - m.build_ms);
-  // Density: output rows per batch slot across every traced operator
-  // (Tectorwise's TracedOperator aggregates; none recorded = NaN, e.g.
-  // Typer's fused pipelines have no vector operators to measure).
-  uint64_t rows = 0;
-  uint64_t batches = 0;
-  for (uint32_t site = 0; site < runtime::QueryTrace::kMaxSites; ++site) {
-    const auto stats = trace->OperatorAt(site);
-    rows += stats.rows;
-    batches += stats.batches;
-  }
-  m.compactions = static_cast<double>(batches);
-  m.avg_density =
-      batches != 0 && vector_size != 0
-          ? static_cast<double>(rows) /
-                (static_cast<double>(batches) * static_cast<double>(vector_size))
-          : std::numeric_limits<double>::quiet_NaN();
-  return m;
-}
-
 size_t TuplesScanned(const runtime::Database& db, Query query) {
   return ScannedTuples(db, query);
 }
@@ -121,17 +52,27 @@ Measurement MeasureQuery(const runtime::Database& db, Engine engine,
                          Query query, const runtime::QueryOptions& opt,
                          int reps) {
   // Timed reps run exactly as configured; the instrumented rep re-runs
-  // with tracing on and mines the trace the session stamps into the
-  // result, so the reported split/density come from the unified
-  // recording path, not from process-global counters.
-  Measurement m = MeasureTraced(
-      [&] { RunQuery(db, engine, query, opt); },
-      [&] {
-        runtime::QueryOptions traced = opt;
-        traced.trace = runtime::TraceLevel::kSpans;
-        return RunQuery(db, engine, query, traced).trace;
-      },
-      opt.vector_size, reps);
+  // with tracing on and reads the build/probe split from the trace the
+  // session stamps into the result.
+  Measurement m = Measure([&] { RunQuery(db, engine, query, opt); }, reps);
+  runtime::QueryOptions traced = opt;
+  traced.trace = runtime::TraceLevel::kSpans;
+  runtime::PerfCounters counters;
+  counters.Start();
+  const double instr_start = Now();
+  const std::shared_ptr<const runtime::QueryTrace> trace =
+      RunQuery(db, engine, query, traced).trace;
+  const double instr_ms = Now() - instr_start;
+  m.counters = counters.Stop();
+  uint64_t build_ns = 0;
+  if (trace != nullptr) {
+    for (const runtime::TraceSpan& span : trace->Spans()) {
+      if (span.name == runtime::QueryTrace::kJoinBuild)
+        build_ns += span.duration_ns();
+    }
+  }
+  m.build_ms = static_cast<double>(build_ns) / 1e6;
+  m.probe_ms = std::max(0.0, instr_ms - m.build_ms);
   m.tuples = TuplesScanned(db, query);
   return m;
 }

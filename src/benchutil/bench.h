@@ -3,50 +3,37 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/vcq.h"
 #include "runtime/perf_counters.h"
-#include "runtime/trace.h"
 
 // Measurement harness shared by all bench binaries (one binary per paper
-// table/figure; see DESIGN.md §3). Configuration via environment:
+// table/figure; the binaries are listed in CMakeLists.txt). Configuration
+// via environment:
 //   VCQ_SF       scale factor            (default per bench)
 //   VCQ_REPS     repetitions per cell    (median reported)
 //   VCQ_THREADS  max worker threads
 //   VCQ_QUICK=1  CI-sized run
 // Counter columns print "n/a" when the kernel denies perf events.
+//
+// Every per-phase number comes from the measured run's QueryTrace
+// (runtime/trace.h), the same record EXPLAIN ANALYZE reads.
 
 namespace vcq::benchutil {
 
 struct Measurement {
   double ms = 0;                        // median wall time
-  runtime::PerfCounters::Values counters;  // from the median-adjacent run
+  runtime::PerfCounters::Values counters;  // from the instrumented run
   size_t tuples = 0;                    // normalization base (paper §3.4)
 
-  // Batch-density telemetry from the instrumented run. On the unified
-  // trace path (MeasureTraced/MeasureQuery) avg_density is output rows per
-  // batch slot across every traced Tectorwise operator — the same
-  // per-site aggregates EXPLAIN ANALYZE prints — and compactions counts
-  // the non-empty batches those operators emitted; NaN/0 when the run
-  // recorded no operator spans (Typer's fused pipelines). The legacy
-  // Measure(fn) path still reads the global CompactionTelemetry
-  // (compaction points only; see tectorwise/compaction.h).
-  double avg_density = 0;
-  double compactions = 0;
-
-  // Build/probe phase split from the instrumented run: build_ms sums the
-  // per-site join-build insert-protocol wall spans (one span per hash
-  // table, sizing barrier to final barrier — spans of distinct builds
-  // never overlap, so nested build-side joins are not double-counted, and
-  // materialize-phase skew is excluded); probe_ms is the rest of that run
-  // — for queries without hash joins build_ms is 0 and probe_ms is simply
-  // the whole run. On the unified path these come from the instrumented
-  // run's QueryTrace NodeTelemetry (the same recording the tuner's reward
-  // and ExplainAnalyze read); the legacy path drains the process-global
-  // JoinBuildTelemetry.
+  // Build/probe phase split from the instrumented (traced) run: build_ms
+  // sums the run's join-build spans (one per hash table, sizing barrier to
+  // final barrier; spans of distinct builds never overlap, so nested
+  // build-side joins are not double-counted, and materialize-phase skew is
+  // excluded); probe_ms is the rest of that run. For queries without hash
+  // joins build_ms is 0 and probe_ms is the whole run.
   double build_ms = 0;
   double probe_ms = 0;
 
@@ -54,27 +41,13 @@ struct Measurement {
   double InstructionsPerTuple() const;
 };
 
-/// Runs `fn` reps times, returns the median time plus counters captured on
-/// one additional instrumented run (legacy global-counter telemetry — for
-/// closures that cannot thread a trace sink through).
+/// Runs `fn` reps times and returns the median wall time (`ms` only).
 Measurement Measure(const std::function<void()>& fn, int reps);
 
-/// The unified observability path (runtime/trace.h): timing reps run `fn`
-/// untouched; the one instrumented run invokes `traced_fn`, which executes
-/// traced and returns the run's QueryTrace (QueryResult::trace for session
-/// paths, a caller-owned sink for direct engine calls) — build_ms/
-/// probe_ms/density are derived from its spans, so benches and production
-/// (EXPLAIN ANALYZE, the tuner) report from one recording path. A null
-/// trace (failed run) leaves the telemetry columns at their zero/NaN
-/// defaults. `vector_size` is the density denominator per batch.
-Measurement MeasureTraced(
-    const std::function<void()>& fn,
-    const std::function<std::shared_ptr<const runtime::QueryTrace>()>&
-        traced_fn,
-    size_t vector_size, int reps);
-
-/// Measures one query end to end. `tuples` normalization = sum of scanned
-/// table cardinalities for that query (paper §3.4).
+/// Measures one query end to end: the median of `reps` runs as configured,
+/// then one traced run for the hardware counters and the build/probe split.
+/// `tuples` normalization = sum of scanned table cardinalities for that
+/// query (paper §3.4).
 Measurement MeasureQuery(const runtime::Database& db, Engine engine,
                          Query query, const runtime::QueryOptions& opt,
                          int reps);

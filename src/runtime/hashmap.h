@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -19,7 +18,7 @@
 #include "runtime/options.h"
 #include "runtime/resource_governor.h"
 #include "runtime/spill.h"
-#include "runtime/tuner.h"
+#include "runtime/trace.h"
 
 namespace vcq::runtime {
 
@@ -167,51 +166,25 @@ struct EntryChunkList {
   }
 };
 
-/// Process-wide accumulator of join-build wall time, drained by
-/// benchutil::Measure for the build/probe timing split: each JoinBuild adds
-/// one span, from the sizing barrier (the last worker has finished
-/// materializing) to the final barrier — the insert protocol itself,
-/// deliberately excluding the engine-specific materialize phase (whose
-/// drain may execute whole nested subplans, which would double-count
-/// builds stacked on a join's build side, and whose per-worker skew would
-/// otherwise be booked as build time).
-class JoinBuildTelemetry {
- public:
-  static JoinBuildTelemetry& Global() {
-    static JoinBuildTelemetry t;
-    return t;
-  }
-
-  static uint64_t NowNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
-  void Reset() { build_ns_.store(0, std::memory_order_relaxed); }
-  void Add(uint64_t ns) { build_ns_.fetch_add(ns, std::memory_order_relaxed); }
-  uint64_t total_ns() const {
-    return build_ns_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> build_ns_{0};
-};
-
-/// Failure-containment context of one JoinBuild (all optional): the run's
+/// Execution context of one JoinBuild (all optional): the run's
 /// CancelToken (barrier aborts, failure propagation), FaultInjector (the
 /// build's named fault points), QueryLedger (directory + arena bytes are
-/// charged to the query's memory budget), and NodeTelemetry sink + site id
-/// (the build's wall span is recorded per plan node as the tuner's reward
-/// signal; see runtime/tuner.h). Default-constructed = the ungoverned seed
-/// behavior.
+/// charged to the query's memory budget), and QueryTrace + site. On a
+/// traced run the build records one QueryTrace::kJoinBuild event span at
+/// its final barrier: from the sizing barrier (the last worker finished
+/// materializing) to the final barrier, with the build-side row count as
+/// its tuples. The span covers the insert protocol only. It excludes the
+/// engine-specific materialize phase, whose drain may run whole nested
+/// subplans (builds stacked on a join's build side would be counted
+/// twice) and whose per-worker skew is not build work. `site` is the
+/// Tectorwise plan-node index, kNoSite for Typer. Default-constructed =
+/// the ungoverned, unrecorded seed behavior.
 struct JoinBuildEnv {
   const CancelToken* cancel = nullptr;
   FaultInjector* fault = nullptr;
   QueryLedger* ledger = nullptr;
-  NodeTelemetry* telemetry = nullptr;
-  uint32_t site = 0;
+  QueryTrace* trace = nullptr;
+  uint32_t site = QueryTrace::kNoSite;
 };
 
 /// Shared join-build protocol of both engines (one instance per hash table,
@@ -278,7 +251,7 @@ class JoinBuild {
           // insert phase, and re-raise only on unmanaged builds.
           try {
             FaultHit(env_.fault, "join_build.size", env_.cancel);
-            start_ns_ = JoinBuildTelemetry::NowNs();
+            if (env_.trace != nullptr) start_ns_ = QueryTrace::NowNs();
             stride_ = stride;
             total_ = 0;
             bool any_spilled = false;
@@ -340,10 +313,15 @@ class JoinBuild {
 
     barrier_.WaitOrAbort(
         [&] {
-          const uint64_t span = JoinBuildTelemetry::NowNs() - start_ns_;
-          JoinBuildTelemetry::Global().Add(span);
-          if (env_.telemetry != nullptr && total_ > 0) {
-            env_.telemetry->RecordSpan(env_.site, span, total_);
+          if (env_.trace != nullptr) {
+            TraceSpan span;
+            span.cat = "join";
+            span.name = QueryTrace::kJoinBuild;
+            span.start_ns = start_ns_;
+            span.end_ns = QueryTrace::NowNs();
+            span.site = env_.site;
+            span.tuples = total_;
+            env_.trace->AddEvent(std::move(span));
           }
           // After a partitioned build every entry lives in the arena, so
           // the published chunk lists are dead; drop them so the engines

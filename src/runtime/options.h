@@ -9,7 +9,6 @@ namespace vcq::runtime {
 class CancelToken;
 class FaultInjector;
 class KnobChoices;
-class NodeTelemetry;
 class QueryLedger;
 class QueryTrace;
 class SpillManager;
@@ -154,20 +153,15 @@ struct QueryOptions {
   /// ExecContext, Typer reads the per-query arms before entering the
   /// pipeline. nullptr = no overlay.
   const KnobChoices* knobs = nullptr;
-  /// Per-node wall-span sink for this execution (reward signal for the
-  /// tuner; see runtime::NodeTelemetry). nullptr = not sampled. When
-  /// tracing is on, vcq::PreparedQuery points this at the trace's
-  /// embedded NodeTelemetry so the tuner and the trace share one
-  /// recording path.
-  NodeTelemetry* telemetry = nullptr;
   /// Requested trace level. vcq::Session honors it by allocating a
   /// QueryTrace per execution (stamped into QueryResult::trace on
   /// success and failure); standalone engine calls must also set
   /// `trace_sink` — the level alone allocates nothing.
   TraceLevel trace = TraceLevel::kOff;
-  /// Span sink for this execution (see runtime/trace.h). Stamped per run
-  /// by vcq::PreparedQuery when `trace` != kOff; standalone callers may
-  /// stamp their own. nullptr = no span capture.
+  /// Span sink for this execution (see runtime/trace.h): the one place
+  /// the run's operator, pipeline, join-build and spill measurements are
+  /// recorded. Stamped per run by vcq::PreparedQuery when `trace` != kOff;
+  /// standalone callers may stamp their own. nullptr = nothing recorded.
   QueryTrace* trace_sink = nullptr;
 };
 

@@ -109,6 +109,16 @@ uint64_t QueryTrace::SpillBytesAt(uint32_t site) const {
   return bytes;
 }
 
+uint64_t QueryTrace::BuildNsAt(uint32_t site) const {
+  uint64_t ns = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const TraceSpan& span : events_) {
+    if (span.site == site && span.name == kJoinBuild)
+      ns += span.duration_ns();
+  }
+  return ns;
+}
+
 void QueryTrace::Append(const QueryTrace& other) {
   std::vector<TraceSpan> spans = other.Spans();
   std::lock_guard<std::mutex> lock(mu_);

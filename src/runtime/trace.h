@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/tuner.h"
-
 // Per-execution trace spans — the unified observability substrate.
 //
 // One QueryTrace is the span buffer of one execution (or of one
@@ -28,24 +26,24 @@
 //     lane has one writer at any instant — no atomics on the hot path.
 //     Per-operator and per-pipeline spans go here.
 //   * EVENT spans (AddEvent): a mutex-guarded vector for low-frequency
-//     cross-thread spans — SQL compile stages, admission wait, gang
-//     dispatch, spill I/O, governor trips, retry backoffs, rung
-//     attempts. Rendered on a dedicated "session" lane (kSessionLane).
+//     cross-thread spans — SQL compile stages, admission wait, join
+//     builds, spill I/O, governor trips, retry backoffs, rung attempts.
+//     Rendered on a dedicated "session" lane (kSessionLane).
 //   * SITE aggregates (RecordOperator): fixed-size atomic {ns, rows,
 //     batches} per plan-node index, powering ExplainAnalyze without a
 //     post-run span scan.
-// All spans use one monotonic clock (NowNs — steady_clock, the same
-// epoch JoinBuildTelemetry uses), so Chrome's timeline nests correctly.
+// All spans use one monotonic clock (NowNs — steady_clock), so Chrome's
+// timeline nests correctly.
 //
-// Recording-path unification (the NodeTelemetry contract): the trace
-// EMBEDS the NodeTelemetry the tuner reads. When tracing is on, the
-// session points QueryOptions::telemetry at node_telemetry(), so the
-// join-build protocol (runtime/hashmap.h) records its per-site build
-// span ONCE and both consumers — the tuner's reward signal and the
-// ExplainAnalyze build/probe split — read the same numbers. When
-// tracing is off the tuner keeps its private NodeTelemetry; nothing
-// else is allocated or touched (QueryOptions::trace == kOff costs a
-// null check at every instrumentation point).
+// The trace is the one recording channel of an execution: nothing is
+// counted in process globals or in a side object. Each join build is one
+// "join.build" event span (runtime/hashmap.h records it at the build's
+// final barrier, with the plan-node index as its site for Tectorwise and
+// kNoSite for Typer's fused builds, and the build-side rows as tuples).
+// EXPLAIN ANALYZE's build/probe split and benchutil's build_ms read those
+// spans back; the tuner is rewarded with the query's end-to-end span
+// (runtime/tuner.h). An untraced run (QueryOptions::trace_sink == nullptr)
+// records nothing; every instrumentation point costs a null check.
 //
 // Export: ToChromeJson() renders the chrome://tracing (Perfetto) JSON
 // object format; PreparedQuery::ExplainAnalyze() renders the compact
@@ -54,11 +52,11 @@
 namespace vcq::runtime {
 
 /// One measured interval. `cat` must point at static storage ("operator",
-/// "pipeline", "sched", "spill", "sql", "session", ...). `tuples` carries
+/// "pipeline", "sched", "join", "spill", "sql", "session", ...). `tuples` carries
 /// rows for operator/pipeline spans and BYTES for spill spans; `calls`
 /// counts operator Next() batches (0 elsewhere). `site` is the plan-node
-/// index (Tectorwise) or build/region ordinal (Typer), kNoSite when the
-/// span is not node-scoped.
+/// index (Tectorwise) or the region ordinal of a pipeline span, kNoSite
+/// when the span is not node-scoped.
 struct TraceSpan {
   const char* cat = "";
   std::string name;
@@ -83,7 +81,9 @@ class QueryTrace {
   /// Rendered lane for cross-thread event spans.
   static constexpr uint32_t kSessionLane = kMaxLanes;
   static constexpr uint32_t kNoSite = UINT32_MAX;
-  static constexpr size_t kMaxSites = NodeTelemetry::kMaxSites;
+  static constexpr size_t kMaxSites = 64;
+  /// Name of the event span each join build records.
+  static constexpr const char* kJoinBuild = "join.build";
 
   /// Monotonic nanoseconds — the one clock every span uses.
   static uint64_t NowNs() {
@@ -125,11 +125,6 @@ class QueryTrace {
   OperatorStats OperatorAt(uint32_t site) const;
   bool HasOperator(uint32_t site) const;
 
-  /// The embedded per-site telemetry the join-build protocol and the
-  /// tuner share (build ns/tuples per site — see runtime/hashmap.h).
-  NodeTelemetry& node_telemetry() { return telemetry_; }
-  const NodeTelemetry& node_telemetry() const { return telemetry_; }
-
   /// Every span (lanes + events), sorted by start time.
   std::vector<TraceSpan> Spans() const;
   size_t span_count() const;
@@ -137,6 +132,10 @@ class QueryTrace {
   /// Total spill bytes attributed to plan-node `site` (sum of
   /// "spill.write" event spans recorded with that site).
   uint64_t SpillBytesAt(uint32_t site) const;
+
+  /// Total join-build wall ns attributed to `site` (sum of "join.build"
+  /// event spans recorded with that site; see runtime/hashmap.h).
+  uint64_t BuildNsAt(uint32_t site) const;
 
   /// Copies every span of `other` into this trace's event buffer — used
   /// to prepend the prepare-time SQL stage spans to an execution trace.
@@ -156,7 +155,6 @@ class QueryTrace {
 
   std::array<std::vector<TraceSpan>, kMaxLanes> lanes_;
   std::array<SiteAgg, kMaxSites> ops_{};
-  NodeTelemetry telemetry_;
   std::atomic<uint32_t> regions_{0};
 
   mutable std::mutex mu_;

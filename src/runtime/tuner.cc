@@ -188,8 +188,8 @@ void Tuner::Resolve(TuningMode mode, KnobChoices* out) {
   }
 }
 
-void Tuner::Observe(const KnobChoices& choices, const NodeTelemetry& telemetry,
-                    uint64_t query_ns, uint64_t query_tuples) {
+void Tuner::Observe(const KnobChoices& choices, uint64_t query_ns,
+                    uint64_t query_tuples) {
   if (query_tuples == 0) query_tuples = 1;
   const double query_cost =
       static_cast<double>(query_ns) / static_cast<double>(query_tuples);
@@ -201,16 +201,12 @@ void Tuner::Observe(const KnobChoices& choices, const NodeTelemetry& telemetry,
     auto it = std::find(knob.arms.begin(), knob.arms.end(), value);
     if (it == knob.arms.end()) continue;
     size_t arm = static_cast<size_t>(it - knob.arms.begin());
-    double cost = query_cost;
-    if (knob.node != kQueryKnob && telemetry.HasSpan(knob.node)) {
-      cost = telemetry.NsPerTuple(knob.node);
-    }
     knob.visits[arm]++;
-    knob.mean_cost[arm] +=
-        (cost - knob.mean_cost[arm]) / static_cast<double>(knob.visits[arm]);
+    knob.mean_cost[arm] += (query_cost - knob.mean_cost[arm]) /
+                           static_cast<double>(knob.visits[arm]);
     knob.min_cost[arm] = knob.visits[arm] == 1
-                             ? cost
-                             : std::min(knob.min_cost[arm], cost);
+                             ? query_cost
+                             : std::min(knob.min_cost[arm], query_cost);
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef VCQ_RUNTIME_TUNER_H_
 #define VCQ_RUNTIME_TUNER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -12,24 +11,23 @@
 
 // Self-tuning execution (paper §9.1: the optimizer, not the engineer,
 // should pick execution strategies). Every data- and machine-dependent
-// execution knob — compaction policy per Select/group point, join build
-// protocol, ROF staged probes and their block size, vector size — becomes
-// a TunableKnob with a discrete arm set, and a per-PreparedQuery Tuner
-// learns the best arm from measured execution cost across repeated
-// executions (the whole point of the Session API).
+// execution knob — compaction policy per Select/group point, ROF staged
+// probes and their block size, vector size — becomes a TunableKnob with a
+// discrete arm set, and a per-PreparedQuery Tuner learns the best arm from
+// measured execution cost across repeated executions (the whole point of
+// the Session API).
 //
 // The learning loop per execution:
 //   1. Resolve(): the tuner picks one arm per knob and writes the choices
 //      into a KnobChoices snapshot the engines read (per-plan-node for
 //      Tectorwise via ExecContext, per-query for Typer via QueryOptions).
-//   2. The engines run; NodeTelemetry records per-node wall spans (join
-//      build inserts today — the spans JoinBuildTelemetry already
-//      measures, kept per site instead of globally) and the session
-//      records the query's end-to-end span.
-//   3. Observe(): every knob's chosen arm is charged the measured
-//      ns/tuple — its own node's span when one was recorded, the query
-//      span otherwise (a factored bandit: knobs are explored one at a
-//      time, so the shared reward still attributes cleanly).
+//   2. The engines run; the session times the query end to end.
+//   3. Observe(): every knob's chosen arm is charged the query's measured
+//      ns/tuple. This is a factored bandit: knobs are explored one at a
+//      time, so the shared reward still attributes cleanly. No per-node
+//      span would serve better: the only per-node span an execution
+//      records is a join's build (runtime/trace.h), and no knob changes
+//      the build — the per-join ROF knob changes the probe.
 //
 // Arm selection is UCB1 in minimization form after a bounded, seed-
 // deterministic exploration phase: knobs take turns (registration order),
@@ -95,59 +93,6 @@ class KnobChoices {
   std::vector<KnobChoice> choices_;
 };
 
-/// Per-execution, per-node wall spans — the reward signal. Extends the
-/// process-global CompactionTelemetry/JoinBuildTelemetry counters into a
-/// per-run object: sites are plan-node indices (Tectorwise) or build
-/// ordinals (Typer), each accumulating {ns, tuples} so a knob attached to
-/// that node can be charged its own ns/tuple instead of the whole query's.
-/// Fixed-size atomic slots: recording from parallel workers is lock-free
-/// and allocation-free.
-class NodeTelemetry {
- public:
-  static constexpr size_t kMaxSites = 64;
-
-  void RecordSpan(uint32_t site, uint64_t ns, uint64_t tuples) {
-    if (site >= kMaxSites) return;  // out-of-range sites fall back to the
-                                    // query-level reward
-    sites_[site].ns.fetch_add(ns, std::memory_order_relaxed);
-    sites_[site].tuples.fetch_add(tuples, std::memory_order_relaxed);
-  }
-
-  bool HasSpan(uint32_t site) const {
-    return site < kMaxSites &&
-           sites_[site].tuples.load(std::memory_order_relaxed) > 0;
-  }
-
-  /// Accumulated wall ns at `site` (0 when nothing was recorded) — read
-  /// by EXPLAIN ANALYZE's build/probe split as well as the tuner.
-  uint64_t SpanNs(uint32_t site) const {
-    return site < kMaxSites ? sites_[site].ns.load(std::memory_order_relaxed)
-                            : 0;
-  }
-  /// Accumulated tuples at `site`.
-  uint64_t SpanTuples(uint32_t site) const {
-    return site < kMaxSites
-               ? sites_[site].tuples.load(std::memory_order_relaxed)
-               : 0;
-  }
-
-  /// ns per tuple at `site`; 0 when nothing was recorded there.
-  double NsPerTuple(uint32_t site) const {
-    if (!HasSpan(site)) return 0;
-    return static_cast<double>(
-               sites_[site].ns.load(std::memory_order_relaxed)) /
-           static_cast<double>(
-               sites_[site].tuples.load(std::memory_order_relaxed));
-  }
-
- private:
-  struct Site {
-    std::atomic<uint64_t> ns{0};
-    std::atomic<uint64_t> tuples{0};
-  };
-  Site sites_[kMaxSites];
-};
-
 /// The per-PreparedQuery multi-armed bandit over execution knobs. All
 /// methods are thread-safe (concurrent Execute()s of one prepared query
 /// share the tuner). Knobs are registered once at Prepare; Resolve/Observe
@@ -179,12 +124,11 @@ class Tuner {
   /// entirely — the session never calls Resolve.)
   void Resolve(TuningMode mode, KnobChoices* out);
 
-  /// Charges each knob's chosen arm with the execution's measured cost:
-  /// the knob's own node span from `telemetry` when one was recorded, the
-  /// query-level ns/tuple otherwise. Failed executions should not be
-  /// observed (their spans are partial).
-  void Observe(const KnobChoices& choices, const NodeTelemetry& telemetry,
-               uint64_t query_ns, uint64_t query_tuples);
+  /// Charges each knob's chosen arm with the execution's measured cost,
+  /// query_ns / query_tuples. Failed executions should not be observed
+  /// (their timing covers a partial run).
+  void Observe(const KnobChoices& choices, uint64_t query_ns,
+               uint64_t query_tuples);
 
   /// Pins every knob to its current best arm: subsequent Resolve()s behave
   /// as kFrozen regardless of mode.

@@ -1,7 +1,6 @@
 #ifndef VCQ_TECTORWISE_COMPACTION_H_
 #define VCQ_TECTORWISE_COMPACTION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -47,68 +46,6 @@ inline CompactionPolicy ToPolicy(runtime::CompactionMode mode) {
 /// the bound column to `dst`.
 using CompactStep =
     std::function<void(size_t n, const pos_t* sel, void* dst)>;
-
-/// Process-wide compaction/density counters (relaxed; one update per batch,
-/// negligible next to per-tuple work). benchutil snapshots these around the
-/// instrumented run so benches can report average batch density and
-/// compaction counts alongside runtime.
-class CompactionTelemetry {
- public:
-  struct Snapshot {
-    uint64_t batches = 0;     ///< batches observed at compaction points
-    uint64_t tuples = 0;      ///< live tuples in those batches
-    uint64_t capacity = 0;    ///< sum of vector_size over those batches
-    uint64_t compactions = 0;       ///< dense batches emitted by compactors
-    uint64_t compacted_tuples = 0;  ///< tuples in those dense batches
-
-    /// Average batch density across all compaction points (NaN when no
-    /// batches were observed).
-    double AvgDensity() const;
-  };
-
-  static CompactionTelemetry& Global();
-
-  /// Bulk fold-in of operator-local counters (see LocalBatchStats).
-  void RecordBatches(uint64_t batches, uint64_t tuples, uint64_t capacity) {
-    batches_.fetch_add(batches, std::memory_order_relaxed);
-    tuples_.fetch_add(tuples, std::memory_order_relaxed);
-    capacity_.fetch_add(capacity, std::memory_order_relaxed);
-  }
-  void RecordCompaction(size_t emitted) {
-    compactions_.fetch_add(1, std::memory_order_relaxed);
-    compacted_tuples_.fetch_add(emitted, std::memory_order_relaxed);
-  }
-
-  void Reset();
-  Snapshot Take() const;
-
- private:
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> tuples_{0};
-  std::atomic<uint64_t> capacity_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> compacted_tuples_{0};
-};
-
-/// Operator-local batch statistics: plain counters bumped in the hot loop,
-/// folded into the global telemetry once at end-of-stream so the per-batch
-/// path costs two additions instead of three shared atomic RMWs (which
-/// would ping-pong a cache line between workers in exactly the
-/// small-vector regimes the benches study).
-struct LocalBatchStats {
-  uint64_t batches = 0;
-  uint64_t tuples = 0;
-  uint64_t capacity = 0;
-
-  void Record(size_t live, size_t vector_size) {
-    ++batches;
-    tuples += live;
-    capacity += vector_size;
-  }
-  /// Adds the counters to the global telemetry and zeroes them (safe to
-  /// call repeatedly — operators may see end-of-stream more than once).
-  void FlushToGlobal();
-};
 
 /// Accumulates the live rows of sparse batches into dense, operator-owned
 /// column buffers and republishes the column Slots when a dense batch is

@@ -98,9 +98,6 @@ struct ExecContext {
   /// overlay matching choices onto the static fields above when
   /// instantiating their operators; nullptr = statics only.
   const runtime::KnobChoices* knobs = nullptr;
-  /// Per-node wall-span sink for this execution (the tuner's reward
-  /// signal); nullptr = not sampled.
-  runtime::NodeTelemetry* telemetry = nullptr;
   /// Per-execution span sink (runtime/trace.h). When set, every operator
   /// the plan instantiates is wrapped in a timing shim (one span per
   /// node per worker plus per-site row/ns aggregates) and spill files

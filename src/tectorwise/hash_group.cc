@@ -215,7 +215,6 @@ void HashGroup::ConsumeChild() {
   while ((n = child_->Next()) != kEndOfStream) {
     if (n == 0) continue;
     const pos_t* sel = child_->sel();
-    stats_.Record(n, ctx_.vector_size);
     // Dense batches are processed in place even while sparse rows are
     // pending — aggregation is order-insensitive, so the backlog can keep
     // accumulating.
@@ -233,7 +232,6 @@ void HashGroup::ConsumeChild() {
     ProcessBatch(compactor_.Flush(), nullptr);
     compactor_.BeginBatch();
   }
-  stats_.FlushToGlobal();
 
   // Token-aware phase barriers: a worker that died mid-scan (exception
   // backstop) never arrives, so waiters poll the tripped token, withdraw
@@ -370,7 +368,6 @@ size_t HashGroup::Next() {
   // the batch boundaries move).
   std::byte** entries = emit_entries_.As<std::byte*>();
   size_t n = 0;
-  size_t chunks = 0;
   while (n < ctx_.vector_size && emit_partition_ < kPartitions) {
     const std::vector<std::byte*>& part = shared_->merged[emit_partition_];
     if (emit_index_ >= part.size()) {
@@ -384,11 +381,9 @@ size_t HashGroup::Next() {
                 take * sizeof(std::byte*));
     n += take;
     emit_index_ += take;
-    ++chunks;
   }
   if (n == 0) return kEndOfStream;
   for (const Output& o : outputs_) o.gather(n, entries);
-  if (chunks > 1) CompactionTelemetry::Global().RecordCompaction(n);
   sel_ = nullptr;
   return n;
 }

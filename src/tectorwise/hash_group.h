@@ -196,7 +196,6 @@ class HashGroup : public Operator {
   runtime::MemPool merge_pool_;  // owns entries rehydrated from spill files
   size_t local_count_ = 0;
   Compactor compactor_;  // input densification (batch compaction point)
-  LocalBatchStats stats_;
 
   bool consumed_ = false;
   bool dense_output_ = false;  // partition-emission compaction

@@ -116,7 +116,6 @@ size_t HashJoin::Next() {
       size_t hit_count = 0;
       cand_rem_ = ExtractHitsAdvance(cand_rem_, cand, cand_pos, match, hits,
                                      hit_pos, hit_count);
-      stats_.Record(hit_count, vsize);
       if (hit_count == 0) continue;
 
       // Gather this round's hits behind whatever is already pending (hit
@@ -131,17 +130,10 @@ size_t HashJoin::Next() {
         // Dense enough and nothing buffered: emit with no extra latency.
         return emit(out_pending_);
       }
-      if (out_pending_ >= vsize) {
-        CompactionTelemetry::Global().RecordCompaction(vsize);
-        return emit(vsize);
-      }
+      if (out_pending_ >= vsize) return emit(vsize);
     }
     if (probe_eos_) {
-      if (out_pending_ > 0) {
-        CompactionTelemetry::Global().RecordCompaction(out_pending_);
-        return emit(out_pending_);
-      }
-      stats_.FlushToGlobal();
+      if (out_pending_ > 0) return emit(out_pending_);
       return kEndOfStream;
     }
     const size_t n = probe_->Next();

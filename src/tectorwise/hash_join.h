@@ -177,7 +177,6 @@ class HashJoin : public Operator {
   // Probe-output accumulation state (batch compaction of the join result).
   size_t out_pending_ = 0;  // gathered rows not yet emitted
   size_t out_emitted_ = 0;  // rows published by the last emission
-  LocalBatchStats stats_;
 
   // Probe scratch vectors.
   VecBuffer hashes_;

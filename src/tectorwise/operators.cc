@@ -28,7 +28,6 @@ size_t Scan::Next() {
 
 Select::Select(std::unique_ptr<Operator> child, size_t vector_size)
     : child_(std::move(child)),
-      vector_size_(vector_size),
       buf_a_(vector_size * sizeof(pos_t)),
       buf_b_(vector_size * sizeof(pos_t)) {}
 
@@ -41,10 +40,7 @@ size_t Select::Next() {
   if (compactor_.enabled()) return NextCompacting();
   while (true) {
     const size_t n = child_->Next();
-    if (n == kEndOfStream) {
-      stats_.FlushToGlobal();
-      return kEndOfStream;
-    }
+    if (n == kEndOfStream) return kEndOfStream;
     const pos_t* sel = child_->sel();
     size_t count = n;
     pos_t* out = buf_a_.As<pos_t>();
@@ -55,7 +51,6 @@ size_t Select::Next() {
       std::swap(out, spare);
       if (count == 0) break;
     }
-    stats_.Record(count, vector_size_);
     if (count > 0) {
       sel_ = sel;
       return count;
@@ -72,7 +67,6 @@ size_t Select::NextCompacting() {
         sel_ = nullptr;
         return compactor_.Flush();
       }
-      stats_.FlushToGlobal();
       return kEndOfStream;
     }
     const size_t n = child_->Next();
@@ -90,7 +84,6 @@ size_t Select::NextCompacting() {
       std::swap(out, spare);
       if (count == 0) break;
     }
-    stats_.Record(count, vector_size_);
     if (count == 0) continue;
     // Dense batches pass through untouched, even while sparse rows are
     // pending — those already live in the compactor's own buffers and can

@@ -109,12 +109,10 @@ class Select : public Operator {
   size_t NextCompacting();
 
   std::unique_ptr<Operator> child_;
-  size_t vector_size_;
   std::vector<SelStep> steps_;
   VecBuffer buf_a_;
   VecBuffer buf_b_;
   Compactor compactor_;
-  LocalBatchStats stats_;
   bool child_eos_ = false;
 };
 

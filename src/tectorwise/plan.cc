@@ -23,7 +23,6 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ctx.fault = opt.fault;
   ctx.spill = opt.spill_manager;
   ctx.knobs = opt.knobs;
-  ctx.telemetry = opt.telemetry;
   ctx.trace = opt.trace_sink;
   return ctx;
 }
@@ -211,10 +210,10 @@ std::unique_ptr<Operator> MapNode::Instantiate(
 std::shared_ptr<void> JoinNode::MakeShared(
     const runtime::QueryOptions& opt) const {
   // The build's wall span is recorded under this node's index (EXPLAIN
-  // ANALYZE's build/probe split and the node's tuner reward).
+  // ANALYZE's build/probe split).
   return std::make_shared<HashJoin::Shared>(
       opt.threads, runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
-                                         opt.telemetry, index_});
+                                         opt.trace_sink, index_});
 }
 
 std::unique_ptr<Operator> JoinNode::Instantiate(
@@ -720,15 +719,21 @@ std::string ExplainAnalyzeTree(const Plan& plan,
   std::string out;
   // Depth-first from the root; self time = inclusive busy ns minus the
   // children's inclusive busy ns (a pull pipeline nests child work inside
-  // the parent's Next).
+  // the parent's Next). Self time is normalized per INPUT tuple (paper
+  // §3.4): the rows the node's children produced, or a scan's own rows.
   const std::function<void(uint32_t, size_t, const char*)> render =
       [&](uint32_t index, size_t depth, const char* role) {
         const Plan::NodeInfo& info = infos[index];
         const runtime::QueryTrace::OperatorStats stats =
             trace.OperatorAt(index);
         uint64_t children_ns = 0;
-        for (const uint32_t child : info.children)
-          children_ns += trace.OperatorAt(child).ns;
+        uint64_t input_rows = info.children.empty() ? stats.rows : 0;
+        for (const uint32_t child : info.children) {
+          const runtime::QueryTrace::OperatorStats child_stats =
+              trace.OperatorAt(child);
+          children_ns += child_stats.ns;
+          input_rows += child_stats.rows;
+        }
         const uint64_t self_ns =
             stats.ns > children_ns ? stats.ns - children_ns : 0;
 
@@ -743,8 +748,8 @@ std::string ExplainAnalyzeTree(const Plan& plan,
                       static_cast<unsigned long long>(stats.batches),
                       FmtMs(self_ns).c_str(),
                       static_cast<double>(self_ns) /
-                          static_cast<double>(std::max<uint64_t>(1,
-                                                                 stats.rows)));
+                          static_cast<double>(
+                              std::max<uint64_t>(1, input_rows)));
         out += buf;
         if (stats.batches > 0) {
           std::snprintf(buf, sizeof(buf), " density=%.2f",
@@ -752,12 +757,10 @@ std::string ExplainAnalyzeTree(const Plan& plan,
                             static_cast<double>(stats.batches * vector_size));
           out += buf;
         }
-        // The join build's wall span arrives through the trace's embedded
-        // NodeTelemetry — the exact numbers the tuner's join ROF knob
-        // learns from (runtime/hashmap.h records them once).
-        const runtime::NodeTelemetry& telemetry = trace.node_telemetry();
-        if (info.kind == NodeKind::kHashJoin && telemetry.HasSpan(index)) {
-          const uint64_t build_ns = telemetry.SpanNs(index);
+        // The join's build span (runtime/hashmap.h) splits its self time
+        // into build and probe.
+        if (info.kind == NodeKind::kHashJoin) {
+          const uint64_t build_ns = trace.BuildNsAt(index);
           const uint64_t probe_ns =
               self_ns > build_ns ? self_ns - build_ns : 0;
           out += " build=" + FmtMs(build_ns) + " probe=" + FmtMs(probe_ns);

@@ -41,9 +41,11 @@ class JoinTable {
                 "the spill-replay build relocates entries bytewise");
 
  public:
-  /// `site` is this build's NodeTelemetry slot (a per-query build ordinal);
-  /// only meaningful on tuned runs where opt.telemetry is set.
-  explicit JoinTable(const runtime::QueryOptions& opt, uint32_t site = 0)
+  /// A traced run (opt.trace_sink) records the build as one
+  /// QueryTrace::kJoinBuild span without a plan-node site: fused pipelines
+  /// have no operator tree, so each build is its own line in EXPLAIN
+  /// ANALYZE's pipeline summary.
+  explicit JoinTable(const runtime::QueryOptions& opt)
       : threads_(opt.threads),
         ledger_(opt.ledger),
         spill_mgr_(opt.spill_manager),
@@ -51,7 +53,8 @@ class JoinTable {
         region_{opt.sched_stream, 0, opt.cancel},
         build_(&ht, opt.threads,
                runtime::JoinBuildEnv{opt.cancel, opt.fault, opt.ledger,
-                                     opt.telemetry, site}),
+                                     opt.trace_sink,
+                                     runtime::QueryTrace::kNoSite}),
         pools_(opt.threads) {
     // Governed runs charge materialize-phase chunks to the query ledger
     // and expose the allocation as a named fault point; ungoverned runs

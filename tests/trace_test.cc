@@ -12,6 +12,7 @@
 #include "api/query_catalog.h"
 #include "api/session.h"
 #include "api/vcq.h"
+#include "benchutil/bench.h"
 #include "datagen/ssb.h"
 #include "datagen/tpch.h"
 #include "runtime/metrics.h"
@@ -26,8 +27,9 @@
 //    executions on both engines — the single-writer-per-lane recording
 //    discipline holds;
 //  - EXPLAIN ANALYZE numbers are real: the root operator's recorded rows
-//    equal the result cardinality, and all nine catalog queries render
-//    measured rows / ns-per-tuple on both engines;
+//    equal the result cardinality, all nine catalog queries render
+//    measured rows / ns-per-input-tuple on both engines, and every join
+//    build is one trace span that EXPLAIN ANALYZE and the benches read;
 //  - tracing never changes answers (byte-identity kOff vs kSpans) and
 //    kOff leaves no trace behind and costs ≤2% on a Q6 microbench;
 //  - the metrics registry is race-free (hammered under TSan in CI) and
@@ -147,7 +149,6 @@ TEST(TraceTest, RootOperatorRowsMatchResultCardinality) {
     QueryOptions opt;
     opt.trace = TraceLevel::kSpans;
     opt.trace_sink = &trace;
-    opt.telemetry = &trace.node_telemetry();
     const QueryResult result = prepared.Run(opt, DefaultParams(q));
     ASSERT_TRUE(result.ok()) << name;
     const auto root = trace.OperatorAt(prepared.plan().root());
@@ -180,6 +181,74 @@ TEST(TraceTest, ExplainAnalyzeRendersAllQueriesOnBothEngines) {
       EXPECT_NE(text.find("ns/tuple"), std::string::npos) << ctx;
     }
   }
+}
+
+// The lines of `text` that contain `needle`.
+std::vector<std::string> LinesWith(const std::string& text,
+                                   const std::string& needle) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    std::string line = text.substr(begin, end - begin);
+    if (line.find(needle) != std::string::npos) lines.push_back(line);
+    begin = end + 1;
+  }
+  return lines;
+}
+
+TEST(TraceTest, TectorwiseJoinLinesSplitBuildAndProbe) {
+  // Each join build is one trace span at its node's site, so every
+  // hash-join line of the measured tree carries the build/probe split.
+  Session session(TpchDb());
+  const std::string text =
+      session.Prepare(Engine::kTectorwise, Query::kQ3, {}).ExplainAnalyze();
+  const std::vector<std::string> joins = LinesWith(text, "hash-join");
+  ASSERT_EQ(joins.size(), 2u) << text;
+  for (const std::string& line : joins) {
+    EXPECT_NE(line.find(" build="), std::string::npos) << line;
+    EXPECT_NE(line.find(" probe="), std::string::npos) << line;
+  }
+
+  // The benches read the same spans: Q3 builds two tables, Q6 none.
+  QueryOptions opt;
+  opt.threads = 2;
+  EXPECT_GT(
+      benchutil::MeasureQuery(TpchDb(), Engine::kTectorwise, Query::kQ3, opt, 1)
+          .build_ms,
+      0.0);
+  EXPECT_EQ(
+      benchutil::MeasureQuery(TpchDb(), Engine::kTectorwise, Query::kQ6, opt, 1)
+          .build_ms,
+      0.0);
+}
+
+TEST(TraceTest, TyperExplainAnalyzeListsOneLinePerBuild) {
+  // Typer's fused pipelines have no plan nodes, so each hash table's build
+  // is its own line of the pipeline summary: Q9 builds four.
+  Session session(TpchDb());
+  QueryOptions opt;
+  opt.threads = 2;
+  const std::string text =
+      session.Prepare(Engine::kTyper, Query::kQ9, opt).ExplainAnalyze();
+  EXPECT_EQ(LinesWith(text, "  build#").size(), 4u) << text;
+}
+
+TEST(TraceTest, ExplainAnalyzeNormalizesSelfTimePerInputTuple) {
+  // Q1's group-by reads ~60k lineitem rows at SF 0.01 and emits 4 groups.
+  // Per output row its self time reads ~390,000 ns in an optimized build;
+  // per input row it is ~26 ns there and ~1,400 ns under the thread
+  // sanitizer, so the bound separates the two with room for slow hosts.
+  Session session(TpchDb());
+  const std::string text =
+      session.Prepare(Engine::kTectorwise, Query::kQ1, {}).ExplainAnalyze();
+  const std::vector<std::string> groups = LinesWith(text, "hash-group");
+  ASSERT_EQ(groups.size(), 1u) << text;
+  const size_t open = groups[0].find(" (");
+  ASSERT_NE(open, std::string::npos) << groups[0];
+  const double ns_per_tuple = std::stod(groups[0].substr(open + 2));
+  EXPECT_LT(ns_per_tuple, 20000.0) << text;
 }
 
 TEST(TraceTest, SqlPrepareStagesLandInTheExecutionTrace) {

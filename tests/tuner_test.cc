@@ -10,6 +10,7 @@
 #include "api/vcq.h"
 #include "datagen/tpch.h"
 #include "runtime/options.h"
+#include "runtime/trace.h"
 
 // Self-tuning acceptance (PR 7): the bandit's arm sequence is a pure
 // function of the seed during exploration, it converges to the known-best
@@ -23,7 +24,6 @@ namespace {
 using runtime::KnobChoices;
 using runtime::KnobKind;
 using runtime::kQueryKnob;
-using runtime::NodeTelemetry;
 using runtime::QueryOptions;
 using runtime::QueryResult;
 using runtime::Tuner;
@@ -61,7 +61,6 @@ TEST(TunerTest, SameSeedSameArmSequence) {
   // Exploration choices are cost-independent, so even with only one tuner
   // observing costs the sequences must stay identical through the whole
   // exploration phase.
-  NodeTelemetry telemetry;
   for (int i = 0; i < 22; ++i) {  // explore_total = 2*(4+5+2) = 22
     KnobChoices ca, cb;
     a.Resolve(TuningMode::kLearn, &ca);
@@ -70,7 +69,7 @@ TEST(TunerTest, SameSeedSameArmSequence) {
     for (size_t k = 0; k < ca.all().size(); ++k) {
       EXPECT_EQ(ca.all()[k].value, cb.all()[k].value) << "exec " << i;
     }
-    a.Observe(ca, telemetry, 1000 + 37 * i, 10);  // costs must not matter
+    a.Observe(ca, 1000 + 37 * i, 10);  // costs must not matter
   }
   EXPECT_TRUE(a.Converged());
   // Convergence tracks observed rewards, not draws: b drew the same arms
@@ -106,7 +105,6 @@ TEST(TunerTest, ConvergesToRiggedBestArm) {
   Tuner tuner(7);
   const size_t knob = tuner.RegisterKnob(
       "rigged", kQueryKnob, KnobKind::kRofBlock, {128, 256, 512, 1024}, 0);
-  NodeTelemetry telemetry;
   // Rig the reward: arm 512 costs 10ns/t, everything else 100ns/t. After
   // exploration the UCB bonus (0.25 * sqrt(...)) is far smaller than the
   // 10x gap, so every post-exploration draw must pick 512.
@@ -116,7 +114,7 @@ TEST(TunerTest, ConvergesToRiggedBestArm) {
     const int64_t value = choices.Get(kQueryKnob, KnobKind::kRofBlock);
     ASSERT_NE(value, KnobChoices::kUnset);
     const uint64_t ns = value == 512 ? 10 * 100 : 100 * 100;
-    tuner.Observe(choices, telemetry, ns, 100);
+    tuner.Observe(choices, ns, 100);
     if (i >= 8) {  // explore_total = 4 arms * 2 reps
       EXPECT_EQ(value, 512) << "post-exploration draw " << i;
     }
@@ -130,25 +128,6 @@ TEST(TunerTest, ConvergesToRiggedBestArm) {
     tuner.Resolve(TuningMode::kLearn, &choices);
     EXPECT_EQ(choices.Get(kQueryKnob, KnobKind::kRofBlock), 512);
   }
-}
-
-TEST(TunerTest, PerNodeSpanBeatsQueryCost) {
-  // A knob at a node with recorded telemetry is charged its own span, not
-  // the query's: rig node 5's span so arm 1 wins there even though the
-  // query-level cost would say otherwise.
-  Tuner tuner(11);
-  const size_t knob = tuner.RegisterKnob("node5.rof", 5, KnobKind::kRof,
-                                         {0, 1}, 0);
-  for (int i = 0; i < 8; ++i) {
-    KnobChoices choices;
-    tuner.Resolve(TuningMode::kLearn, &choices);
-    const int64_t value = choices.Get(5, KnobKind::kRof);
-    NodeTelemetry telemetry;
-    telemetry.RecordSpan(5, value == 1 ? 100 : 1000, 10);
-    // Query-level cost is rigged the other way and must be ignored.
-    tuner.Observe(choices, telemetry, value == 1 ? 100000 : 10, 1);
-  }
-  EXPECT_EQ(tuner.ArmsOf(knob)[tuner.BestArm(knob)].value, 1);
 }
 
 TEST(TunerTest, UntrainedBestArmIsDefault) {
@@ -173,6 +152,49 @@ TEST(TunerSessionTest, OffModeIsUntunedAndExplainSaysSo) {
   EXPECT_EQ(q.ExplainTuning(), "tuning: off\n");
   EXPECT_TRUE(q.TuningConverged());
   EXPECT_TRUE(q.Execute().ok());
+}
+
+TEST(TunerSessionTest, JoinRofKnobIsChargedTheQuerySpanNotTheBuildSpan) {
+  // The per-join ROF knob changes the probe, never the build, so it must be
+  // rewarded with the query's ns/tuple like every other knob — even on a
+  // traced run whose trace holds a build span for the join's node. After
+  // one learning execution every knob's visited arm carries the same cost.
+  Session session(TpchDb());
+  QueryOptions learn;
+  learn.threads = 1;
+  learn.tuning = TuningMode::kLearn;
+  learn.tuner_seed = 17;
+  learn.trace = runtime::TraceLevel::kSpans;
+  PreparedQuery q = session.Prepare(Engine::kTectorwise, Query::kQ3, learn);
+  const QueryResult result = q.Execute();
+  ASSERT_TRUE(result.ok());
+  ASSERT_NE(result.trace, nullptr);
+
+  // Per knob line of ExplainTuning: "  <name> (<kind> ...): arm[n=1 Xns/t]".
+  const std::string explain = q.ExplainTuning();
+  std::vector<std::string> costs;
+  size_t joins = 0;
+  size_t pos = explain.find('\n');  // skip the header line
+  while (pos != std::string::npos && pos + 1 < explain.size()) {
+    const size_t end = explain.find('\n', pos + 1);
+    const std::string line = explain.substr(pos + 1, end - pos - 1);
+    pos = end;
+    const size_t cost_end = line.find("ns/t");
+    ASSERT_NE(cost_end, std::string::npos) << "unvisited knob: " << line;
+    const size_t cost_begin = line.rfind(' ', cost_end) + 1;
+    costs.push_back(line.substr(cost_begin, cost_end - cost_begin));
+    const size_t join = line.find("tw.join#");
+    if (join == std::string::npos) continue;
+    ++joins;
+    const uint32_t node =
+        static_cast<uint32_t>(std::stoul(line.substr(join + 8)));
+    EXPECT_GT(result.trace->BuildNsAt(node), 0u)
+        << "no build span recorded for join node " << node;
+  }
+  EXPECT_EQ(joins, 2u) << explain;
+  ASSERT_FALSE(costs.empty()) << explain;
+  for (const std::string& cost : costs)
+    EXPECT_EQ(cost, costs.front()) << explain;
 }
 
 TEST(TunerSessionTest, FrozenWithoutHistoryMatchesStatics) {
