@@ -1,20 +1,21 @@
-// Ablation: adaptive batch compaction (cf. "Data Chunk Compaction in
-// Vectorized Execution", SIGMOD'25, and paper §5.1 / Fig. 7). A selective
-// filter feeding a join and an aggregate leaves only a trickle of live
-// tuples per vector; every downstream primitive then pays full per-vector
-// interpretation overhead for a handful of tuples. The compaction points
-// (Select output, hash-join probe output, group-by input) merge those
-// sparse batches into full dense vectors. This bench sweeps filter
-// selectivity x policy on a TPC-H Q9-shaped filter -> 4 joins -> group-by
-// plan and reports runtime plus, from one traced run per cell, the
-// non-empty batches leaving the Select and join outputs and their average
-// density. "vs never" uses medians of per-rep paired ratios, which are
-// robust against the slow clock drift of shared machines.
+// Ablation: batch compaction (cf. "Data Chunk Compaction in Vectorized
+// Execution", SIGMOD'25, and paper §5.1 / Fig. 7). A selective filter
+// feeding a join and an aggregate leaves only a trickle of live tuples per
+// vector; every downstream primitive then pays full per-vector
+// interpretation overhead for a handful of tuples. The engine densifies
+// batches below 1/64 density at the Select output and group-by input, and
+// the hash join emits one batch per probe vector, carrying a sparse one
+// into the next. This bench sweeps filter selectivity on a TPC-H
+// Q9-shaped filter -> 4 joins -> group-by plan and reports runtime plus,
+// from one traced run per cell, the non-empty batches leaving the Select
+// and join outputs and their average density. Every run's checksum is
+// compared with a scalar reference computed from the generated columns.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,37 @@ tectorwise::Plan BuildPlan(const Tables& t, int32_t cutoff,
   return pb.Build(group, *sums);
 }
 
+/// The checksum RunPlan must return: every group sum of the plan above,
+/// computed row by row from the generated columns (every fact key hits
+/// exactly one dimension row, so each surviving row contributes once).
+int64_t ReferenceChecksum(const Tables& t, int32_t cutoff) {
+  const auto filter = t.fact.Col<int32_t>("f_filter");
+  const auto val = t.fact.Col<int64_t>("f_val");
+  const auto price = t.fact.Col<int64_t>("f_price");
+  const auto disc = t.fact.Col<int64_t>("f_disc");
+  const auto qty = t.fact.Col<int64_t>("f_qty");
+  const auto cost = t.fact.Col<int64_t>("f_cost");
+  std::span<const int32_t> keys[4];
+  std::span<const int64_t> pays[4];
+  const Relation* dims[4] = {&t.dim1, &t.dim2, &t.dim3, &t.dim4};
+  for (int d = 0; d < 4; ++d) {
+    keys[d] = t.fact.Col<int32_t>("f_key" + std::to_string(d + 1));
+    pays[d] = dims[d]->Col<int64_t>("d_pay");
+  }
+  int64_t total = 0;
+  for (size_t i = 0; i < t.fact.tuple_count(); ++i) {
+    if (filter[i] >= cutoff) continue;
+    int64_t pay[4];
+    for (int d = 0; d < 4; ++d)
+      pay[d] = pays[d][static_cast<size_t>(keys[d][i])];
+    const int64_t amount = val[i] * pay[0] * pay[1];
+    const int64_t revenue = price[i] * (100 - disc[i]) * pay[2] * pay[3];
+    const int64_t supply = revenue - cost[i] * qty[i];
+    total += amount + revenue + val[i] + supply + qty[i];
+  }
+  return total;
+}
+
 /// Runs `plan` once and returns the checksum of its group sums.
 int64_t RunPlan(const tectorwise::Plan& plan,
                 const std::vector<ColumnRef>& sums,
@@ -190,15 +222,6 @@ PointStats TracedPointStats(const tectorwise::Plan& plan,
   return stats;
 }
 
-const char* PolicyName(runtime::CompactionMode mode) {
-  switch (mode) {
-    case runtime::CompactionMode::kNever: return "never";
-    case runtime::CompactionMode::kAlways: return "always";
-    case runtime::CompactionMode::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main() {
@@ -209,91 +232,61 @@ int main() {
   if (benchutil::Quick()) fact_rows = 1u << 18;
   const size_t dim_rows =
       static_cast<size_t>(EnvInt("VCQ_DIM_ROWS", 1 << 11));
-  const size_t vector_size = 1024;
-  const double threshold = EnvDouble("VCQ_COMPACT_THRESHOLD", 1.0 / 64);
+  runtime::QueryOptions opt;
+  opt.vector_size = 1024;
+  opt.simd = simd::Available();
 
   benchutil::PrintHeader(
-      "Ablation: adaptive batch compaction (filter -> join -> aggregate)",
+      "Ablation: batch compaction (filter -> join -> aggregate)",
       "sparse selection vectors degrade vectorized primitives (Sec. 5.1, "
       "Fig. 7); chunk compaction densifies them (SIGMOD'25)",
       "fact=" + std::to_string(fact_rows) + " rows, dim=" +
-          std::to_string(dim_rows) + " rows, vector=1024, threshold=" +
-          benchutil::Fmt(threshold, 3) + ", 1 thread, " +
-          std::to_string(reps) + " reps (policies interleaved per rep)");
+          std::to_string(dim_rows) +
+          " rows, vector=1024, sparse below 1/64 density, 1 thread, " +
+          std::to_string(reps) + " reps");
 
   const Tables tables = MakeTables(fact_rows, dim_rows);
   const double selectivities[] = {100, 50, 25, 10, 5, 2, 1, 0.5, 0.25};
-  constexpr size_t kPolicies = 3;
-  const runtime::CompactionMode policies[kPolicies] = {
-      runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-      runtime::CompactionMode::kAdaptive};
 
-  benchutil::Table table({"sel %", "policy", "ms", "vs never", "density",
-                          "batches"});
+  benchutil::Table table({"sel %", "ms", "density", "batches"});
   bool results_agree = true;
   for (const double sel_pct : selectivities) {
     const int32_t cutoff =
         static_cast<int32_t>(sel_pct / 100.0 * kFilterDomain);
     std::vector<ColumnRef> sums;
     const tectorwise::Plan plan = BuildPlan(tables, cutoff, &sums);
-    runtime::QueryOptions opts[kPolicies];
-    std::vector<double> times[kPolicies];
-    int64_t totals[kPolicies] = {0, 0, 0};
-    for (size_t p = 0; p < kPolicies; ++p) {
-      opts[p].vector_size = vector_size;
-      opts[p].simd = simd::Available();
-      opts[p].compaction = policies[p];
-      opts[p].compaction_threshold = threshold;
-    }
-    // Policies are interleaved within each rep so slow clock drift (single
-    // shared core) biases all three equally; the median is taken per
-    // policy across reps. Rep -1 warms page cache and allocators.
+    const int64_t expected = ReferenceChecksum(tables, cutoff);
+    std::vector<double> times;
+    // Rep -1 warms page cache and allocators.
     for (int rep = -1; rep < reps; ++rep) {
-      for (size_t p = 0; p < kPolicies; ++p) {
-        const auto start = std::chrono::steady_clock::now();
-        totals[p] = RunPlan(plan, sums, opts[p]);
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        if (rep >= 0) times[p].push_back(ms);
-      }
+      const auto start = std::chrono::steady_clock::now();
+      if (RunPlan(plan, sums, opt) != expected) results_agree = false;
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (rep >= 0) times.push_back(ms);
     }
-    for (size_t p = 0; p < kPolicies; ++p) {
-      // "vs never" is the median of the PER-REP ratios: measurements of
-      // one rep run back to back and share the machine's drift state, so
-      // the paired ratio is far more stable than a ratio of medians.
-      std::vector<double> ratios;
-      for (size_t r = 0; r < times[p].size(); ++r)
-        ratios.push_back(times[0][r] / times[p][r]);
-      std::sort(ratios.begin(), ratios.end());
-      const double speedup = ratios[ratios.size() / 2];
-      std::vector<double> sorted = times[p];
-      std::sort(sorted.begin(), sorted.end());
-      const double ms = sorted[sorted.size() / 2];
-      if (totals[p] != totals[0]) results_agree = false;
-      // Density and batch counts come from one separate traced run, so
-      // the timed runs above carry no recording cost.
-      const PointStats stats = TracedPointStats(plan, sums, opts[p]);
-      table.AddRow({benchutil::Fmt(sel_pct, 1), PolicyName(policies[p]),
-                    benchutil::Fmt(ms, 2), benchutil::Fmt(speedup, 2) + "x",
-                    benchutil::FmtCounter(stats.density, 3),
-                    std::to_string(stats.batches)});
-      // Machine-readable line for BENCH_*.json trajectories.
-      std::printf(
-          "JSON {\"bench\":\"ablation_compaction\",\"sel_pct\":%g,"
-          "\"policy\":\"%s\",\"ms\":%.3f,\"speedup_vs_never\":%.3f,"
-          "\"avg_density\":%.4f,\"batches\":%llu}\n",
-          sel_pct, PolicyName(policies[p]), ms, speedup, stats.density,
-          static_cast<unsigned long long>(stats.batches));
-    }
+    std::sort(times.begin(), times.end());
+    const double ms = times[times.size() / 2];
+    // Density and batch counts come from one separate traced run, so the
+    // timed runs above carry no recording cost.
+    const PointStats stats = TracedPointStats(plan, sums, opt);
+    table.AddRow({benchutil::Fmt(sel_pct, 1), benchutil::Fmt(ms, 2),
+                  benchutil::FmtCounter(stats.density, 3),
+                  std::to_string(stats.batches)});
+    // Machine-readable line for BENCH_*.json trajectories.
+    std::printf(
+        "JSON {\"bench\":\"ablation_compaction\",\"sel_pct\":%g,"
+        "\"ms\":%.3f,\"avg_density\":%.4f,\"batches\":%llu}\n",
+        sel_pct, ms, stats.density,
+        static_cast<unsigned long long>(stats.batches));
   }
   table.Print();
   std::printf(
-      "\nresults %s across policies\n"
-      "paper shape: at low selectivity the adaptive policy merges sparse "
-      "batches into full vectors, so the join and aggregate amortize their "
-      "per-vector overhead again; at high selectivity it must match kNever "
-      "(pass-through) while kAlways pays for useless copies.\n",
-      results_agree ? "IDENTICAL" : "DIFFER (BUG!)");
+      "\nresults %s the scalar reference\n"
+      "paper shape: at low selectivity sparse batches are merged into full "
+      "vectors, so the join and aggregate amortize their per-vector "
+      "overhead again; at high selectivity batches pass through untouched.\n",
+      results_agree ? "MATCH" : "DIFFER FROM (BUG!)");
   return results_agree ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // Ablation (paper §9.1 / PR 7): self-tuned execution. Every
-// data-dependent knob the paper sweeps by hand — compaction policy, ROF
-// staged probes and their block size, vector size — is learned per
+// data-dependent knob the paper sweeps by hand — ROF staged probes and
+// their block size, vector size — is learned per
 // prepared query by runtime::Tuner (bounded seed-deterministic
 // exploration, then UCB1). This bench measures the
 // learned configuration against every static arm across selectivities
@@ -26,7 +26,6 @@ using vcq::Engine;
 using vcq::PreparedQuery;
 using vcq::Query;
 using vcq::Session;
-using vcq::runtime::CompactionMode;
 using vcq::runtime::QueryOptions;
 using vcq::runtime::QueryResult;
 using vcq::runtime::TuningMode;
@@ -154,27 +153,16 @@ int main() {
   bool identical = true;
   double worst_ratio = 0;
 
-  // --- Tectorwise Q6: compaction/vector arms across selectivities -----------
-  // shipdate_hi widens the qualifying window; compaction pays off at low
-  // density and costs pure overhead at high density, so the best static
-  // arm moves with the binding — exactly what a per-query tuner exploits.
+  // --- Tectorwise Q6: vector-size arms across selectivities ----------------
+  // shipdate_hi widens the qualifying window, which changes how many live
+  // tuples each vector carries into the aggregation, so the best static
+  // vector size may move with the binding — what a per-query tuner
+  // exploits.
   std::vector<StaticVariant> tw;
   {
-    QueryOptions base;
-    base.threads = 1;
-    tw.push_back({"compaction=never vec=1024", base});
-    QueryOptions o = base;
-    o.compaction = CompactionMode::kAlways;
-    tw.push_back({"compaction=always", o});
-    for (int denom : {16, 64, 256}) {
-      o = base;
-      o.compaction = CompactionMode::kAdaptive;
-      o.compaction_threshold = 1.0 / denom;
-      tw.push_back({"compaction=adaptive(1/" + std::to_string(denom) + ")",
-                    o});
-    }
-    for (size_t vec : {size_t{256}, size_t{2048}}) {
-      o = base;
+    QueryOptions o;
+    o.threads = 1;
+    for (size_t vec : {size_t{1024}, size_t{256}, size_t{2048}}) {
       o.vector_size = vec;
       tw.push_back({"vec=" + std::to_string(vec), o});
     }

@@ -21,7 +21,7 @@ int main() {
   benchutil::PrintHeader(
       "Figure 4: memory stalls vs data size (TPC-H, 1 thread)",
       "SF 1..100 (paper axis); memory-stall vs other cycles per tuple",
-      "SF sweep per VCQ_SF; container RAM caps the sweep (DESIGN.md #4)");
+      "SF 1 and 3 (+VCQ_SF): one host's RAM caps the paper's SF 100");
 
   runtime::QueryOptions opt;
   opt.threads = 1;

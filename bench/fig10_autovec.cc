@@ -1,4 +1,4 @@
-// Figure 10 (substitution, DESIGN.md #4): compiler auto-vectorization.
+// Figure 10 (substitution): compiler auto-vectorization.
 // The paper rebuilds Tectorwise's primitives with ICC 18's auto-vectorizer;
 // ICC is unavailable, so the same scalar kernel bodies are compiled twice
 // with GCC (-fno-tree-vectorize vs -O3 + AVX-512) and compared against the

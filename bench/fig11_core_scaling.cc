@@ -1,4 +1,4 @@
-// Figures 11 (substitution, DESIGN.md #4): the paper compares Skylake
+// Figure 11 (substitution): the paper compares Skylake
 // against AMD Threadripper; cross-CPU comparison is not reproducible on a
 // single host, so this bench produces the per-engine queries/second vs
 // %-cores-used curves (the plots' axes) on the host CPU, including the

@@ -1,4 +1,4 @@
-// Figure 12 (substitution, DESIGN.md #4): the paper's Knights Landing
+// Figure 12 (substitution): the paper's Knights Landing
 // column shows a SIMD-heavy platform; without that hardware we keep the
 // experiment's SIMD dimension by scaling Tectorwise with AVX-512 primitives
 // on and off across core counts, next to Typer.

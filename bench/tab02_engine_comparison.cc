@@ -1,4 +1,4 @@
-// Table 2 (substitution, DESIGN.md #4): the paper compares its prototypes
+// Table 2 (substitution): the paper compares its prototypes
 // against HyPer and Actian Vector; both are closed source and not
 // installable here. We keep the table's purpose — locating the two
 // paradigms relative to each other — with Typer (push+compilation) vs

@@ -1,4 +1,4 @@
-// Table 5 (substitution, DESIGN.md #4): out-of-memory execution. The paper
+// Table 5 (substitution): out-of-memory execution. The paper
 // streams SF=100 tables from a 1.4 GB/s SATA-SSD RAID; here the working
 // set is spilled to a file and replayed through a bandwidth-capped loader
 // concurrently with the query. Reported runtime is the completed overlap

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -93,22 +92,6 @@ using runtime::KnobKind;
 using runtime::kQueryKnob;
 using runtime::TuningMode;
 
-/// Encodes the static QueryOptions compaction config as a tuner arm value
-/// (see runtime/tuner.h: 0 = never, 1 = always, k >= 2 = adaptive 1/k).
-int64_t CompactionArmOf(const QueryOptions& opt) {
-  switch (opt.compaction) {
-    case runtime::CompactionMode::kNever: return runtime::kCompactionNever;
-    case runtime::CompactionMode::kAlways: return runtime::kCompactionAlways;
-    case runtime::CompactionMode::kAdaptive: {
-      if (opt.compaction_threshold >= 1.0) return runtime::kCompactionAlways;
-      if (opt.compaction_threshold <= 0.0) return runtime::kCompactionNever;
-      const int64_t k = std::llround(1.0 / opt.compaction_threshold);
-      return std::max<int64_t>(2, k);
-    }
-  }
-  return runtime::kCompactionNever;
-}
-
 /// Registers `value` as a member of `arms` and returns its index, appending
 /// it when the sweep grid does not already contain it — the default arm
 /// must always be selectable (kOff/kFrozen-without-history semantics).
@@ -140,10 +123,9 @@ void ApplyQueryKnobs(const KnobChoices& choices, QueryOptions& opt) {
 }
 
 /// Registers the Tectorwise knob set — the global vector size plus one
-/// compaction or ROF knob per eligible plan node — with the
-/// prepared options as the default arms. Shared by Prepare and PrepareSql:
-/// a SQL-compiled plan exposes exactly the same tunable decisions as a
-/// catalog one.
+/// ROF knob per hash join — with the prepared options as the default arms.
+/// Shared by Prepare and PrepareSql: a SQL-compiled plan exposes exactly
+/// the same tunable decisions as a catalog one.
 void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
                              const tectorwise::Plan& plan,
                              const QueryOptions& opt) {
@@ -154,25 +136,9 @@ void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
                      std::move(sizes), size_def);
   const auto infos = plan.Describe();
   for (uint32_t i = 0; i < infos.size(); ++i) {
-    using tectorwise::NodeKind;
-    switch (infos[i].kind) {
-      case NodeKind::kSelect:
-      case NodeKind::kHashGroup: {
-        // Compaction arm encoding: never / always / adaptive(1/k).
-        std::vector<int64_t> arms{0, 1, 16, 64, 256};
-        const size_t def = ArmIndexOf(arms, CompactionArmOf(opt));
-        const char* at = infos[i].kind == NodeKind::kSelect ? "tw.select#"
-                                                            : "tw.group#";
-        tuner.RegisterKnob(at + std::to_string(i) + ".compaction", i,
-                           KnobKind::kCompaction, std::move(arms), def);
-        break;
-      }
-      case NodeKind::kHashJoin:
-        tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".rof", i,
-                           KnobKind::kRof, {0, 1}, opt.rof ? 1 : 0);
-        break;
-      default:
-        break;
+    if (infos[i].kind == tectorwise::NodeKind::kHashJoin) {
+      tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".rof", i,
+                         KnobKind::kRof, {0, 1}, opt.rof ? 1 : 0);
     }
   }
 }
@@ -397,7 +363,7 @@ struct PreparedQuery::Impl {
     bool spill = false;
     size_t threads = 0;
     size_t vector_size = 0;
-    std::shared_ptr<runtime::QueryTrace> trace;
+    std::shared_ptr<runtime::QueryTrace> trace = nullptr;
     uint8_t rung = 0;
   };
 

@@ -107,10 +107,12 @@
 //
 // Self-tuning model (paper §9.1: the optimizer, not the engineer, should
 // pick execution strategies): every data- and machine-dependent execution
-// knob — compaction policy/threshold at each registered Tectorwise
-// Select/group point, ROF staged probes per join (and Typer's block size),
-// the vector size — can be learned per prepared query instead of set
-// statically, by a per-PreparedQuery multi-armed bandit (runtime/tuner.h).
+// knob — ROF staged probes per Tectorwise join (and Typer's per-query ROF
+// and block size), the Tectorwise vector size — can be learned per
+// prepared query instead of set statically, by a per-PreparedQuery
+// multi-armed bandit (runtime/tuner.h). Batch compaction is not a knob:
+// Tectorwise always densifies batches below 1/64 density
+// (tectorwise/core.h).
 // Opt in per query:
 //
 //   vcq::runtime::QueryOptions opt;

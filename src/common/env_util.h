@@ -6,8 +6,8 @@
 
 namespace vcq {
 
-/// Configuration of bench binaries via environment variables (DESIGN.md §3):
-/// VCQ_SF, VCQ_REPS, VCQ_THREADS, VCQ_QUICK. Each getter returns the given
+/// Configuration of bench binaries via environment variables: VCQ_SF,
+/// VCQ_REPS, VCQ_THREADS, VCQ_QUICK. Each getter returns the given
 /// default when the variable is unset or unparsable.
 double EnvDouble(const char* name, double default_value);
 int64_t EnvInt(const char* name, int64_t default_value);

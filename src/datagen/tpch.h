@@ -10,7 +10,9 @@
 // formulas, date windows, value distributions, the partsupp supplier-key
 // formula, p_name color words, return-flag/line-status rules — and
 // deliberately omits the free-text columns (addresses, comments, phones)
-// that no studied query touches; see DESIGN.md §6.
+// that no studied query touches. The paper runs on standard TPC-H data;
+// the omission changes no studied query's result, only generation time
+// and memory.
 //
 // Decimals are 64-bit fixed-point (scale 2 unless noted), dates are day
 // numbers; see runtime/types.h.

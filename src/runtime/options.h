@@ -22,10 +22,6 @@ class WorkerPool;
 ///           Chrome-tracing JSON and EXPLAIN ANALYZE.
 enum class TraceLevel : uint8_t { kOff, kSpans };
 
-/// Engine-independent spelling of the Tectorwise batch-compaction policy
-/// (mapped onto tectorwise::CompactionPolicy by the plan builders).
-enum class CompactionMode { kNever, kAlways, kAdaptive };
-
 /// How runtime::JoinBuild fills a join hash table from the workers'
 /// materialized build rows. Not a run option: both engines always request
 /// kCas, and JoinBuild switches to kPartitioned on its own when rows spilled.
@@ -129,12 +125,6 @@ struct QueryOptions {
   /// switches to the prefetch-staged variant (JoinCandidatesStaged), which
   /// plays the same trick inside each vector.
   bool rof = false;
-  /// Batch compaction at the sparse points of the vectorized pipeline
-  /// (Select output, hash-join probe output, group-by input); Tectorwise
-  /// only. See tectorwise::CompactionPolicy.
-  CompactionMode compaction = CompactionMode::kNever;
-  /// Density below which kAdaptive compacts (count / vector_size).
-  double compaction_threshold = 1.0 / 64;
   /// Typer staged-probe (ROF) block size in tuples when `rof` is set;
   /// clamped to [1, typer::kRofMaxBlock]. The tuner sweeps
   /// {128, 256, 512, 1024}.

@@ -11,7 +11,7 @@
 
 namespace vcq::runtime {
 
-/// Out-of-memory experiment substrate (Table 5 substitution, DESIGN.md §4).
+/// Out-of-memory experiment substrate (the paper's Table 5, substituted).
 /// The paper streams table data from a 1.4 GB/s SATA-SSD RAID while queries
 /// run; we reproduce the same code path — scans gated on data arrival, I/O
 /// overlapped with compute — by replaying the database through a

@@ -28,7 +28,6 @@ constexpr double kUcbC = 0.25;
 const char* KindName(KnobKind kind) {
   switch (kind) {
     case KnobKind::kVectorSize: return "vector_size";
-    case KnobKind::kCompaction: return "compaction";
     case KnobKind::kRof: return "rof";
     case KnobKind::kRofBlock: return "rof_block";
   }
@@ -36,16 +35,8 @@ const char* KindName(KnobKind kind) {
 }
 
 std::string ArmLabel(KnobKind kind, int64_t value) {
-  switch (kind) {
-    case KnobKind::kCompaction:
-      if (value == kCompactionNever) return "never";
-      if (value == kCompactionAlways) return "always";
-      return "adaptive(1/" + std::to_string(value) + ")";
-    case KnobKind::kRof:
-      return value == 0 ? "off" : "on";
-    default:
-      return std::to_string(value);
-  }
+  if (kind == KnobKind::kRof) return value == 0 ? "off" : "on";
+  return std::to_string(value);
 }
 
 }  // namespace

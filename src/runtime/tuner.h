@@ -11,11 +11,12 @@
 
 // Self-tuning execution (paper §9.1: the optimizer, not the engineer,
 // should pick execution strategies). Every data- and machine-dependent
-// execution knob — compaction policy per Select/group point, ROF staged
-// probes and their block size, vector size — becomes a TunableKnob with a
-// discrete arm set, and a per-PreparedQuery Tuner learns the best arm from
-// measured execution cost across repeated executions (the whole point of
-// the Session API).
+// execution knob — ROF staged probes (per Tectorwise join, per Typer
+// query) and their block size, Tectorwise vector size — becomes a
+// TunableKnob with a discrete arm set, and a per-PreparedQuery Tuner
+// learns the best arm from measured execution cost across repeated
+// executions (the whole point of the Session API). Batch compaction is
+// not a knob: Tectorwise applies one density rule (tectorwise/core.h).
 //
 // The learning loop per execution:
 //   1. Resolve(): the tuner picks one arm per knob and writes the choices
@@ -45,8 +46,6 @@ namespace vcq::runtime {
 /// Knob kinds; the engines use (node, kind) pairs to look up choices.
 enum class KnobKind : uint8_t {
   kVectorSize,  ///< Tectorwise vector size (per plan).
-  kCompaction,  ///< Compaction arm at one Select/group point (encoding
-                ///< below) or, for Typer, unused.
   kRof,         ///< staged (ROF) probes on/off (0/1).
   kRofBlock,    ///< staged-probe block size in tuples.
 };
@@ -54,12 +53,6 @@ enum class KnobKind : uint8_t {
 /// Node id used for per-query (not per-plan-node) knobs: Typer's ROF
 /// settings and the per-plan vector size.
 inline constexpr uint32_t kQueryKnob = UINT32_MAX;
-
-/// Compaction arm encoding (KnobKind::kCompaction): 0 = kNever,
-/// 1 = kAlways, k >= 2 = kAdaptive with threshold 1/k. Keeps the arm set a
-/// flat int list like every other knob.
-inline constexpr int64_t kCompactionNever = 0;
-inline constexpr int64_t kCompactionAlways = 1;
 
 /// One resolved knob value for one execution.
 struct KnobChoice {

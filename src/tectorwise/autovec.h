@@ -7,8 +7,9 @@
 #include "tectorwise/core.h"
 
 // Two builds of the same scalar primitive kernels for the compiler
-// auto-vectorization study (paper Fig. 10; GCC stands in for ICC 18, see
-// DESIGN.md §4). autovec_on is compiled with -O3 and AVX-512 enabled for
+// auto-vectorization study (paper Fig. 10, which measured ICC 18's
+// auto-vectorizer; ICC is unavailable here, so GCC stands in for it).
+// autovec_on is compiled with -O3 and AVX-512 enabled for
 // the vectorizer; autovec_off with -O3 -fno-tree-vectorize. The bench
 // fig10_autovec compares instructions/element and time/element between the
 // two and against the hand-written AVX-512 primitives.

@@ -3,13 +3,10 @@
 namespace vcq::tectorwise {
 
 void Compactor::Configure(const ExecContext& ctx) {
-  policy_ = ctx.compaction;
-  threshold_ = ctx.compaction_threshold;
   vector_size_ = ctx.vector_size;
 }
 
 void Compactor::AddColumn(Slot* slot, size_t elem_size, CompactStep step) {
-  if (policy_ == CompactionPolicy::kNever) return;
   for (const Column& c : columns_) {
     if (c.slot == slot) return;  // already registered
   }

@@ -7,10 +7,9 @@
 #include <functional>
 #include <vector>
 
-#include "runtime/options.h"
 #include "tectorwise/core.h"
 
-// Adaptive batch compaction (cf. "Data Chunk Compaction in Vectorized
+// Batch compaction (cf. "Data Chunk Compaction in Vectorized
 // Execution", SIGMOD'25, and paper §5.1 on sparse selection vectors).
 //
 // A Compactor sits at a compaction point of the vectorized pipeline (Select
@@ -23,23 +22,11 @@
 // primitive then runs its dense path (contiguous loads, full SIMD lanes)
 // and per-vector interpretation overhead amortizes over full vectors again.
 //
-// Under CompactionPolicy::kAdaptive a batch is only absorbed when its
-// density (count / vector_size) falls below ExecContext's threshold; dense
-// batches pass through untouched, so the fast path stays zero-copy.
+// A batch is only absorbed when it is sparse (IsSparse in core.h: density
+// below 1/64); dense batches pass through untouched, so the fast path stays
+// zero-copy.
 
 namespace vcq::tectorwise {
-
-/// Maps the engine-agnostic QueryOptions spelling onto the engine policy
-/// (shared by every plan builder's MakeContext).
-inline CompactionPolicy ToPolicy(runtime::CompactionMode mode) {
-  switch (mode) {
-    case runtime::CompactionMode::kNever: return CompactionPolicy::kNever;
-    case runtime::CompactionMode::kAlways: return CompactionPolicy::kAlways;
-    case runtime::CompactionMode::kAdaptive:
-      return CompactionPolicy::kAdaptive;
-  }
-  return CompactionPolicy::kNever;
-}
 
 /// Per-column append kernel bound to a column Slot by the steps.h factory
 /// MakeCompact<T>: copies the `n` live values (per `sel`; null = dense) of
@@ -74,19 +61,13 @@ class Compactor {
   /// Registers a column for densification. `slot` must be republishable:
   /// its producer either resets `ptr` every batch (Scan) or writes into a
   /// fixed buffer the saved `ptr` keeps addressing (Map/join/group
-  /// outputs). No-op under kNever so the seed path stays allocation-free.
+  /// outputs).
   void AddColumn(Slot* slot, size_t elem_size, CompactStep step);
 
-  bool enabled() const {
-    return policy_ != CompactionPolicy::kNever && !columns_.empty();
-  }
-
-  /// Density test for a fresh batch with `count` live tuples.
+  /// Density test for a fresh batch with `count` live tuples; always false
+  /// while no column is registered (nothing consumed above the point).
   bool ShouldCompact(size_t count) const {
-    if (policy_ == CompactionPolicy::kAlways) return true;
-    if (policy_ != CompactionPolicy::kAdaptive) return false;
-    return static_cast<double>(count) <
-           threshold_ * static_cast<double>(vector_size_);
+    return !columns_.empty() && IsSparse(count, vector_size_);
   }
 
   size_t pending() const { return pending_; }
@@ -113,8 +94,6 @@ class Compactor {
     const void* saved = nullptr;  // producer ptr to restore after a Flush
   };
 
-  CompactionPolicy policy_ = CompactionPolicy::kNever;
-  double threshold_ = 1.0 / 64;
   size_t vector_size_ = kDefaultVectorSize;
   std::vector<Column> columns_;
   size_t pending_ = 0;   // accumulated, not yet emitted rows

@@ -209,7 +209,6 @@ void HashGroup::ProcessBatch(size_t n, const pos_t* sel) {
 
 void HashGroup::ConsumeChild() {
   VCQ_CHECK_MSG(!key_steps_.empty(), "group keys not configured");
-  const bool compacting = compactor_.enabled();
 
   size_t n;
   while ((n = child_->Next()) != kEndOfStream) {
@@ -218,7 +217,7 @@ void HashGroup::ConsumeChild() {
     // Dense batches are processed in place even while sparse rows are
     // pending — aggregation is order-insensitive, so the backlog can keep
     // accumulating.
-    if (!compacting || !compactor_.ShouldCompact(n)) {
+    if (!compactor_.ShouldCompact(n)) {
       ProcessBatch(n, sel);
       continue;
     }
@@ -228,7 +227,7 @@ void HashGroup::ConsumeChild() {
       compactor_.BeginBatch();  // restore slots before the next child batch
     }
   }
-  while (compacting && compactor_.pending() > 0) {
+  while (compactor_.pending() > 0) {
     ProcessBatch(compactor_.Flush(), nullptr);
     compactor_.BeginBatch();
   }
@@ -344,28 +343,9 @@ void HashGroup::MergePartitions() {
 
 size_t HashGroup::Next() {
   if (!consumed_) ConsumeChild();
-  if (!dense_output_) {
-    // Emit merged groups from owned partitions, one vector at a time;
-    // batches end at partition boundaries (seed behavior).
-    while (emit_partition_ < kPartitions) {
-      const std::vector<std::byte*>& part = shared_->merged[emit_partition_];
-      if (emit_index_ >= part.size()) {
-        emit_partition_ += worker_count_;
-        emit_index_ = 0;
-        continue;
-      }
-      const size_t n =
-          std::min(ctx_.vector_size, part.size() - emit_index_);
-      for (const Output& o : outputs_) o.gather(n, part.data() + emit_index_);
-      emit_index_ += n;
-      sel_ = nullptr;
-      return n;
-    }
-    return kEndOfStream;
-  }
-  // Partition-emission compaction: pack groups from consecutive owned
-  // partitions into one full output vector (group order is unchanged, only
-  // the batch boundaries move).
+  // Pack groups from consecutive owned partitions into one full output
+  // vector, so downstream operators (e.g. Q18's having-Select) see dense
+  // input instead of per-partition remnants.
   std::byte** entries = emit_entries_.As<std::byte*>();
   size_t n = 0;
   while (n < ctx_.vector_size && emit_partition_ < kPartitions) {

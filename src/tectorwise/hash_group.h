@@ -22,7 +22,7 @@ namespace vcq::tectorwise {
 /// into a worker-local hash table, spilling group pointers into hash
 /// partitions. Phase two (after a barrier): partitions are assigned to
 /// workers, each merging all workers' spilled groups for its partitions and
-/// then emitting them vector-at-a-time.
+/// then emitting them in full vectors packed across partition boundaries.
 ///
 /// Group lookup mirrors the join's probe structure: hash primitives ->
 /// tagged candidates -> per-key-column compare primitives -> advance loop;
@@ -64,8 +64,7 @@ class HashGroup : public Operator {
   /// Adds a grouping key column; returns its entry byte offset. Key and
   /// aggregate columns are auto-registered with the input Compactor, so
   /// the group-by compaction point needs no extra plan wiring: sparse
-  /// input batches are densified before the group lookup when the policy
-  /// asks for it.
+  /// input batches are densified before the group lookup.
   template <typename T>
   size_t AddKey(Slot* col) {
     VCQ_CHECK_MSG(agg_begin_ == 0, "keys must be added before aggregates");
@@ -121,15 +120,6 @@ class HashGroup : public Operator {
     };
     return o.slot.get();
   }
-
-  /// Partition-emission compaction (ROADMAP follow-on to PR 1): when
-  /// enabled, Next() packs groups from consecutive owned partitions into
-  /// full dense output vectors instead of emitting whatever sub-vector
-  /// remnants the merge produced, so downstream operators (e.g. Q18's
-  /// having-Select) see dense input. Off by default to keep hand-wired
-  /// pipelines byte-for-byte identical; the plan builder enables it
-  /// whenever the compaction policy is not kNever.
-  void SetDenseOutput(bool on) { dense_output_ = on; }
 
   size_t Next() override;
 
@@ -198,7 +188,6 @@ class HashGroup : public Operator {
   Compactor compactor_;  // input densification (batch compaction point)
 
   bool consumed_ = false;
-  bool dense_output_ = false;  // partition-emission compaction
   size_t emit_partition_ = 0;  // owned-partition cursor (worker-strided)
   size_t emit_index_ = 0;
 

@@ -79,7 +79,6 @@ size_t HashJoin::Next() {
   pos_t* hit_pos = hit_pos_.As<pos_t>();
   const bool use_simd = ctx_.use_simd && simd::Available();
   const size_t vsize = ctx_.vector_size;
-  const bool accumulate = ctx_.compaction != CompactionPolicy::kNever;
 
   // Shift the carry-over from the last emission to the buffer front.
   if (out_emitted_ > 0) {
@@ -104,12 +103,13 @@ size_t HashJoin::Next() {
   while (true) {
     // Drain the candidate set of the current probe batch first. Each round
     // compares every candidate against its chain entry, gathers this
-    // round's matches, and advances all candidates along ->next — a build
-    // side with duplicate keys emits one output row per matching chain
-    // entry, so a single probe batch can produce more than vector_size
-    // rows. The candidate set survives emission (member buffers; the probe
-    // child's batch stays valid until its next Next), which keeps every
-    // per-round buffer bounded by vector_size.
+    // round's matches behind whatever is already pending, and advances all
+    // candidates along ->next — a build side with duplicate keys emits one
+    // output row per matching chain entry, so a single probe batch can
+    // produce more than vector_size rows. The candidate set survives
+    // emission (member buffers; the probe child's batch stays valid until
+    // its next Next), which keeps every per-round buffer bounded by
+    // vector_size.
     while (cand_rem_ > 0) {
       for (const CmpStep& step : compare_steps_)
         step(cand_rem_, cand, cand_pos, match);
@@ -117,25 +117,17 @@ size_t HashJoin::Next() {
       cand_rem_ = ExtractHitsAdvance(cand_rem_, cand, cand_pos, match, hits,
                                      hit_pos, hit_count);
       if (hit_count == 0) continue;
-
-      // Gather this round's hits behind whatever is already pending (hit
-      // positions only stay valid while the probe batch is current).
+      // Hit positions only stay valid while the probe batch is current, so
+      // every round is gathered now; only the emission waits.
       for (const Output& o : outputs_) o.gather(hit_count, out_pending_);
       out_pending_ += hit_count;
-      if (!accumulate) return emit(out_pending_);
-      if (ctx_.compaction == CompactionPolicy::kAdaptive &&
-          out_pending_ == hit_count &&
-          static_cast<double>(hit_count) >=
-              ctx_.compaction_threshold * static_cast<double>(vsize)) {
-        // Dense enough and nothing buffered: emit with no extra latency.
-        return emit(out_pending_);
-      }
       if (out_pending_ >= vsize) return emit(vsize);
     }
-    if (probe_eos_) {
-      if (out_pending_ > 0) return emit(out_pending_);
-      return kEndOfStream;
-    }
+    // The probe batch is drained: emit what it produced unless that is
+    // still sparse, in which case it rides along with the next batch.
+    if (out_pending_ > 0 && (probe_eos_ || !IsSparse(out_pending_, vsize)))
+      return emit(out_pending_);
+    if (probe_eos_) return kEndOfStream;
     const size_t n = probe_->Next();
     if (n == kEndOfStream) {
       probe_eos_ = true;

@@ -19,7 +19,7 @@ namespace vcq::tectorwise {
 /// Vectorized hash join (paper Fig. 2b, §2.2). Duplicate build keys are
 /// supported: every matching chain entry yields an output row (N:M join),
 /// with the candidate set drained round by round so each round's hit batch
-/// stays within vector_size.
+/// stays within vector_size. Emitted batches never exceed vector_size.
 ///
 /// Build: each worker drains its build child, materializes key+payload rows
 /// into arena-allocated entries (probeHash-style expressions compute the
@@ -97,13 +97,13 @@ class HashJoin : public Operator {
   }
 
   // --- outputs ------------------------------------------------------------
-  // Output buffers hold 2 * vector_size rows: under batch compaction
-  // (ctx.compaction != kNever) the join keeps probing until a full vector
-  // of hits has accumulated, so a batch's hits can straddle the
-  // vector_size emission boundary; the overhang is carried to the front on
-  // the next Next() call. Gathers happen per probe batch either way (hit
-  // positions refer to the current batch), so accumulation only changes
-  // the emission cadence, not the gather work.
+  // Output buffers hold 2 * vector_size rows: every chain-walk round of a
+  // probe batch is gathered behind the rows already pending, and the join
+  // emits once the batch's candidates are drained or vector_size rows are
+  // pending. A drained batch whose output is still sparse (IsSparse,
+  // core.h) is carried into the next probe batch. A round's hits can
+  // straddle the vector_size emission boundary; the overhang is moved to
+  // the front on the next Next() call.
 
   /// Build-side column (entry field) gathered into a dense output vector.
   template <typename T>

@@ -37,29 +37,6 @@ Select::Select(std::unique_ptr<Operator> child, const ExecContext& ctx)
 }
 
 size_t Select::Next() {
-  if (compactor_.enabled()) return NextCompacting();
-  while (true) {
-    const size_t n = child_->Next();
-    if (n == kEndOfStream) return kEndOfStream;
-    const pos_t* sel = child_->sel();
-    size_t count = n;
-    pos_t* out = buf_a_.As<pos_t>();
-    pos_t* spare = buf_b_.As<pos_t>();
-    for (const SelStep& step : steps_) {
-      count = step(count, sel, out);
-      sel = out;
-      std::swap(out, spare);
-      if (count == 0) break;
-    }
-    if (count > 0) {
-      sel_ = sel;
-      return count;
-    }
-    // All tuples filtered: pull the next batch instead of emitting empties.
-  }
-}
-
-size_t Select::NextCompacting() {
   compactor_.BeginBatch();
   while (true) {
     if (child_eos_) {
@@ -84,6 +61,7 @@ size_t Select::NextCompacting() {
       std::swap(out, spare);
       if (count == 0) break;
     }
+    // All tuples filtered: pull the next batch instead of emitting empties.
     if (count == 0) continue;
     // Dense batches pass through untouched, even while sparse rows are
     // pending — those already live in the compactor's own buffers and can

@@ -87,12 +87,12 @@ class Scan : public Operator {
 /// Conjunctive filter: a cascade of selection primitives, each narrowing the
 /// selection vector (Fig. 1b). Skips empty batches internally.
 ///
-/// A Select is the pipeline's primary compaction point: when constructed
-/// with an ExecContext whose policy is not kNever, sparse result batches
-/// are merged into dense ones through the Compactor. Plans must register
-/// every column consumed above the Select via CompactColumn<T>(ctx,
-/// select->compactor(), slot) — unregistered columns keep their original
-/// batch layout and would be misread through compacted positions.
+/// A Select is the pipeline's primary compaction point: sparse result
+/// batches (IsSparse, core.h) are merged into dense ones through the
+/// Compactor. Plans must register every column consumed above the Select
+/// via CompactColumn<T>(ctx, select->compactor(), slot) — unregistered
+/// columns keep their original batch layout and would be misread through
+/// compacted positions. A Select with no registered column never compacts.
 class Select : public Operator {
  public:
   Select(std::unique_ptr<Operator> child, size_t vector_size);
@@ -106,8 +106,6 @@ class Select : public Operator {
   Compactor& compactor() { return compactor_; }
 
  private:
-  size_t NextCompacting();
-
   std::unique_ptr<Operator> child_;
   std::vector<SelStep> steps_;
   VecBuffer buf_a_;

@@ -15,8 +15,6 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ExecContext ctx;
   ctx.vector_size = opt.vector_size;
   ctx.use_simd = opt.simd;
-  ctx.compaction = ToPolicy(opt.compaction);
-  ctx.compaction_threshold = opt.compaction_threshold;
   ctx.rof = opt.rof;
   ctx.cancel = opt.cancel;
   ctx.ledger = opt.ledger;
@@ -43,17 +41,6 @@ ExecContext NodeContext(const ExecContext& base, uint32_t index) {
   // attribution in hash_join/hash_group).
   ctx.site = index;
   if (base.knobs == nullptr) return ctx;
-  if (const int64_t v = base.knobs->Get(index, KnobKind::kCompaction);
-      v != KnobChoices::kUnset) {
-    if (v == runtime::kCompactionNever) {
-      ctx.compaction = CompactionPolicy::kNever;
-    } else if (v == runtime::kCompactionAlways) {
-      ctx.compaction = CompactionPolicy::kAlways;
-    } else {
-      ctx.compaction = CompactionPolicy::kAdaptive;
-      ctx.compaction_threshold = 1.0 / static_cast<double>(v);
-    }
-  }
   if (const int64_t v = base.knobs->Get(index, KnobKind::kRof);
       v != KnobChoices::kUnset) {
     ctx.rof = v != 0;
@@ -244,8 +231,6 @@ std::unique_ptr<Operator> GroupNode::Instantiate(
                                            InstantiateNode(*children_[0], ws),
                                            ctx);
   for (const auto& configure : config_) configure(*group, ws);
-  group->SetDenseOutput(dense_output_.value_or(
-      ctx.compaction != CompactionPolicy::kNever));
   return group;
 }
 
@@ -298,12 +283,6 @@ ColumnRef GroupNode::Max(ColumnRef col) {
     ws.slots[id] = group.AddOutput<int64_t>(offset);
   });
   return out;
-}
-
-GroupNode& GroupNode::DensePartitionOutput(bool on) {
-  dense_output_ = on;
-  Detail(std::string("dense partition output: ") + (on ? "on" : "off"));
-  return *this;
 }
 
 ColumnRef FixedAggNode::Sum(ColumnRef col, std::string name) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -743,13 +742,6 @@ class GroupNode : public PlanNode {
   /// Adds max(col) over an int64 column; returns its output column.
   ColumnRef Max(ColumnRef col);
 
-  /// Partition-emission compaction (ROADMAP follow-on): when enabled,
-  /// Next() packs groups from consecutive merged partitions into full
-  /// dense output vectors instead of emitting per-partition remnants, so
-  /// downstream operators (e.g. Q18's having-Select) see dense input.
-  /// Default: on whenever the compaction policy is not kNever.
-  GroupNode& DensePartitionOutput(bool on);
-
  private:
   friend class PlanBuilder;
   explicit GroupNode(PlanBuilder* builder)
@@ -762,7 +754,6 @@ class GroupNode : public PlanNode {
 
   std::vector<std::function<void(HashGroup&, plan_internal::Workspace&)>>
       config_;
-  std::optional<bool> dense_output_;
 };
 
 // ---------------------------------------------------------------------------

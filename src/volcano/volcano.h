@@ -11,8 +11,10 @@
 // Table 6 row "System R"). This is the model both studied paradigms
 // replaced; the library ships it as a runnable baseline so the
 // order-of-magnitude interpretation overhead the paper talks about is
-// measurable in the same harness (see Table 2's substitution note in
-// DESIGN.md §4). Deliberately interpretation-heavy: virtual next() per
+// measurable in the same harness. (The paper's Table 2 compares its
+// prototypes with HyPer and Actian Vector, which are closed source; this
+// repo compares Typer with Tectorwise instead, and Volcano serves as the
+// differential correctness oracle.) Deliberately interpretation-heavy: virtual next() per
 // tuple, std::function expression evaluation per row, no morsel
 // parallelism (single-threaded, as classic Volcano without exchange
 // operators).

@@ -14,10 +14,10 @@
 #include "tectorwise/primitives_simd.h"
 #include "tectorwise/steps.h"
 
-// Batch compaction: scalar <-> AVX-512 compress-store parity, the adaptive
-// policy's threshold boundaries at the Select compaction point, and
-// end-to-end result equality of all three policies on the full TPC-H / SSB
-// workload (the byte-identical-results contract of the compaction PR).
+// Batch compaction: scalar <-> AVX-512 compress-store parity, the constant
+// density threshold (1/64) at the Select compaction point, and end-to-end
+// byte identity of every compacting Tectorwise run with Typer on the full
+// TPC-H / SSB workload.
 
 namespace vcq::tectorwise {
 namespace {
@@ -108,7 +108,7 @@ TEST(CompactBytesTest, OddWidthRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Select compaction point: adaptive threshold boundaries
+// Select compaction point: the density threshold
 // ---------------------------------------------------------------------------
 
 // Relation where value a[i] = i % period, so a < cutoff passes exactly
@@ -165,21 +165,18 @@ std::vector<int64_t> ReferenceValues(size_t n, int32_t period,
   return out;
 }
 
-ExecContext AdaptiveCtx(size_t vector_size = 1024) {
+ExecContext Ctx(size_t vector_size = 1024) {
   ExecContext ctx;
   ctx.vector_size = vector_size;
-  ctx.compaction = CompactionPolicy::kAdaptive;
-  ctx.compaction_threshold = 0.25;
   return ctx;
 }
 
 TEST(SelectCompactionTest, SparseBatchesAreMergedDense) {
-  // ~1.6% density: 16 survivors per 1024-tuple batch; 64 batches fold into
+  // ~0.8% density: 8 survivors per 1024-tuple batch; 128 batches fold into
   // one full dense vector.
-  const Relation rel = MakePeriodic(64 * 1024, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 1);
-  EXPECT_EQ(r.values, ReferenceValues(64 * 1024, 64, 1));
+  const Relation rel = MakePeriodic(128 * 1024, 128);
+  const DrainResult r = DrainSelect(rel, Ctx(), 1);
+  EXPECT_EQ(r.values, ReferenceValues(128 * 1024, 128, 1));
   EXPECT_EQ(r.dense_batches, r.batches);
   EXPECT_EQ(r.batches, 1u);  // 1024 survivors == exactly one full vector
   EXPECT_EQ(r.max_count, 1024u);
@@ -195,8 +192,7 @@ TEST(SelectCompactionTest, SingleSurvivorCompacts) {
     a[i] = (i == 3333) ? 0 : 1;
     b[i] = static_cast<int64_t>(i);
   }
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 1);
+  const DrainResult r = DrainSelect(rel, Ctx(), 1);
   ASSERT_EQ(r.values.size(), 1u);
   EXPECT_EQ(r.values[0], 3333);
   EXPECT_EQ(r.dense_batches, 1u);
@@ -204,54 +200,55 @@ TEST(SelectCompactionTest, SingleSurvivorCompacts) {
 
 TEST(SelectCompactionTest, EmptyResultYieldsEndOfStream) {
   const Relation rel = MakePeriodic(4096, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 0);  // nothing passes
+  const DrainResult r = DrainSelect(rel, Ctx(), 0);  // nothing passes
   EXPECT_TRUE(r.values.empty());
   EXPECT_EQ(r.batches, 0u);
 }
 
 TEST(SelectCompactionTest, DenseBatchesPassThroughUntouched) {
-  // Everything passes: density 1.0 >= threshold, so kAdaptive must leave
-  // batches alone (selection vector still present, no merged vectors).
+  // Everything passes: density 1.0 is far above the threshold, so batches
+  // are left alone (selection vector still present, no merged vectors).
   const Relation rel = MakePeriodic(8192, 64);
-  const ExecContext ctx = AdaptiveCtx();
-  const DrainResult r = DrainSelect(rel, ctx, 64);
+  const DrainResult r = DrainSelect(rel, Ctx(), 64);
   EXPECT_EQ(r.values, ReferenceValues(8192, 64, 64));
   EXPECT_EQ(r.dense_batches, 0u);
   EXPECT_EQ(r.batches, 8u);
 }
 
 TEST(SelectCompactionTest, ThresholdBoundaryIsStrict) {
-  // threshold 0.25 at vector_size 1024 puts the boundary at 256 survivors:
-  // 256 per batch (density == threshold) passes through, 255 compacts.
-  const ExecContext ctx = AdaptiveCtx();
+  // 1/64 at vector_size 1024 puts the boundary at 16 survivors: 16 per
+  // batch (density == 1/64) passes through, 15 compacts.
+  const Relation rel = MakePeriodic(8192, 1024);
   {
-    const Relation rel = MakePeriodic(8192, 4);  // 256 survivors per batch
-    const DrainResult r = DrainSelect(rel, ctx, 1);
-    EXPECT_EQ(r.values, ReferenceValues(8192, 4, 1));
+    const DrainResult r = DrainSelect(rel, Ctx(), 16);
+    EXPECT_EQ(r.values, ReferenceValues(8192, 1024, 16));
     EXPECT_EQ(r.dense_batches, 0u);
+    EXPECT_EQ(r.batches, 8u);
   }
   {
-    // 128 survivors per batch: below threshold, all batches compact.
-    const Relation rel = MakePeriodic(8192, 8);
-    const DrainResult r = DrainSelect(rel, ctx, 1);
-    EXPECT_EQ(r.values, ReferenceValues(8192, 8, 1));
+    // 15 survivors per batch: below the threshold, all batches compact
+    // (8 * 15 = 120 rows, flushed as one dense batch at end-of-stream).
+    const DrainResult r = DrainSelect(rel, Ctx(), 15);
+    EXPECT_EQ(r.values, ReferenceValues(8192, 1024, 15));
     EXPECT_EQ(r.dense_batches, r.batches);
+    EXPECT_EQ(r.batches, 1u);
   }
 }
 
-TEST(SelectCompactionTest, AlwaysPolicyMatchesReference) {
-  const Relation rel = MakePeriodic(10007, 16);
-  ExecContext ctx = AdaptiveCtx(255);  // odd vector size, partial flushes
-  ctx.compaction = CompactionPolicy::kAlways;
-  const DrainResult r = DrainSelect(rel, ctx, 5);
-  EXPECT_EQ(r.values, ReferenceValues(10007, 16, 5));
+TEST(SelectCompactionTest, OddVectorSizeFlushesPartialVectors) {
+  // At most 2 survivors per 255-tuple batch, always below 255 / 64: every
+  // batch compacts, full vectors are emitted mid-stream and the remainder
+  // at end-of-stream.
+  const Relation rel = MakePeriodic(100003, 128);
+  const DrainResult r = DrainSelect(rel, Ctx(255), 1);
+  EXPECT_EQ(r.values, ReferenceValues(100003, 128, 1));
   EXPECT_EQ(r.dense_batches, r.batches);
-  EXPECT_LE(r.max_count, 255u);
+  EXPECT_EQ(r.max_count, 255u);
+  EXPECT_EQ(r.batches, (r.values.size() + 254) / 255);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: all three policies produce byte-identical query results
+// End-to-end: every compacting Tectorwise run matches Typer byte for byte
 // ---------------------------------------------------------------------------
 
 const Database& TpchDb() {
@@ -264,47 +261,46 @@ const Database& SsbDb() {
   return *db;
 }
 
-QueryOptions PolicyOptions(runtime::CompactionMode mode, size_t vector_size,
-                           bool simd) {
+QueryResult RunTectorwise(const Database& db, Query query, size_t threads,
+                          size_t vector_size, bool simd) {
   QueryOptions opt;
-  opt.threads = 2;
+  opt.threads = threads;
   opt.vector_size = vector_size;
   opt.simd = simd;
-  opt.compaction = mode;
-  return opt;
+  return RunQuery(db, Engine::kTectorwise, query, opt);
 }
 
-TEST(CompactionEquivalenceTest, Q3AcrossPoliciesAndVectorSizes) {
+QueryResult RunTyper(const Database& db, Query query) {
+  QueryOptions opt;
+  opt.threads = 1;
+  return RunQuery(db, Engine::kTyper, query, opt);
+}
+
+TEST(CompactionEquivalenceTest, Q3AcrossVectorSizesMatchesTyper) {
+  const QueryResult expected = RunTyper(TpchDb(), Query::kQ3);
+  ASSERT_TRUE(expected.ok());
   for (const size_t vector_size : {size_t{64}, size_t{1024}, size_t{4096}}) {
-    const QueryResult expected =
-        RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ3,
-                 PolicyOptions(runtime::CompactionMode::kNever, vector_size,
-                               false));
-    for (const auto mode : {runtime::CompactionMode::kAlways,
-                            runtime::CompactionMode::kAdaptive}) {
-      for (const bool simd : {false, true}) {
-        const QueryResult got =
-            RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ3,
-                     PolicyOptions(mode, vector_size, simd));
-        EXPECT_EQ(expected.ToString(), got.ToString())
-            << "vector_size=" << vector_size << " mode="
-            << static_cast<int>(mode) << " simd=" << simd;
-      }
+    for (const bool simd : {false, true}) {
+      const QueryResult got =
+          RunTectorwise(TpchDb(), Query::kQ3, 2, vector_size, simd);
+      EXPECT_EQ(expected.ToString(), got.ToString())
+          << "vector_size=" << vector_size << " simd=" << simd;
     }
   }
 }
 
-TEST(CompactionEquivalenceTest, AllQueriesAcrossPolicies) {
+TEST(CompactionEquivalenceTest, AllQueriesMatchTyper) {
   auto check = [](const Database& db, Query query) {
-    const QueryResult expected =
-        RunQuery(db, Engine::kTectorwise, query,
-                 PolicyOptions(runtime::CompactionMode::kNever, 1024, false));
-    for (const auto mode : {runtime::CompactionMode::kAlways,
-                            runtime::CompactionMode::kAdaptive}) {
-      const QueryResult got = RunQuery(db, Engine::kTectorwise, query,
-                                       PolicyOptions(mode, 1024, false));
-      EXPECT_EQ(expected.ToString(), got.ToString())
-          << QueryName(query) << " mode=" << static_cast<int>(mode);
+    const QueryResult expected = RunTyper(db, query);
+    ASSERT_TRUE(expected.ok()) << QueryName(query);
+    for (const size_t threads : {size_t{1}, size_t{8}}) {
+      for (const size_t vector_size : {size_t{64}, size_t{1024}}) {
+        const QueryResult got =
+            RunTectorwise(db, query, threads, vector_size, false);
+        EXPECT_EQ(expected.ToString(), got.ToString())
+            << QueryName(query) << " threads=" << threads
+            << " vector_size=" << vector_size;
+      }
     }
   };
   for (const Query query : TpchQueries()) check(TpchDb(), query);

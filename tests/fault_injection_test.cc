@@ -268,7 +268,9 @@ TEST(FaultSweepTest, EveryPointBothEnginesFirstLastRandomHitDrainsClean) {
             const size_t live_before = MemPool::live_bytes();
             const size_t gov_before = ResourceGovernor::Global().in_use();
             const QueryResult got = q.Execute();
-            if (threads == 1) EXPECT_GE(armed.FiredCount(), 1u);
+            if (threads == 1) {
+              EXPECT_GE(armed.FiredCount(), 1u);
+            }
             if (armed.FiredCount() > 0) {
               // The absorbed cleanup fault must not leak into the result.
               EXPECT_EQ(got, expected);

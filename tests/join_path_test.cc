@@ -13,12 +13,13 @@
 
 // The join build/probe memory path (ISSUE 3), audited end to end:
 //
-//  * Probe-output accumulation under multi-threaded collectors (ROADMAP
-//    open item): batch compaction makes HashJoin accumulate hits across
-//    probe batches, which changes the batch boundaries every collector
-//    sees; with several workers the collector interleaving changes too.
-//    The matrix pins byte-identity at threads {1, 8} x vector sizes
-//    {64, 1024} across all nine queries.
+//  * Probe-output accumulation under multi-threaded collectors: HashJoin
+//    gathers every chain-walk round of a probe batch into one output batch
+//    and carries a sparse drained batch into the next probe batch, which
+//    changes the batch boundaries every collector sees; with several
+//    workers the collector interleaving changes too. The matrix pins
+//    byte-identity with Typer at threads {1, 8} x vector sizes {64, 1024}
+//    across all nine queries.
 //
 //  * Spill x prefetch equivalence: in-memory (CAS) builds vs builds forced
 //    to spill and be replayed by the partitioned protocol, and {staged,
@@ -28,7 +29,6 @@
 namespace vcq {
 namespace {
 
-using runtime::CompactionMode;
 using runtime::Database;
 using runtime::QueryOptions;
 using runtime::QueryResult;
@@ -71,17 +71,11 @@ TEST_P(JoinPathTest, ProbeAccumulationMultiThreadedCollectors) {
   const Query q = GetParam();
   for (const size_t threads : {size_t{1}, size_t{8}}) {
     for (const size_t vecsize : {size_t{64}, size_t{1024}}) {
-      for (const CompactionMode policy :
-           {CompactionMode::kAlways, CompactionMode::kAdaptive}) {
-        QueryOptions opt;
-        opt.threads = threads;
-        opt.vector_size = vecsize;
-        opt.compaction = policy;
-        EXPECT_EQ(RunQuery(DbFor(q), Engine::kTectorwise, q, opt),
-                  Expected(q))
-            << "threads=" << threads << " vecsize=" << vecsize
-            << " policy=" << static_cast<int>(policy);
-      }
+      QueryOptions opt;
+      opt.threads = threads;
+      opt.vector_size = vecsize;
+      EXPECT_EQ(RunQuery(DbFor(q), Engine::kTectorwise, q, opt), Expected(q))
+          << "threads=" << threads << " vecsize=" << vecsize;
     }
   }
 }

@@ -16,9 +16,9 @@
 // The declarative plan-builder layer: slot-usage-derived compaction
 // registration (unit tests on synthetic plans + a cross-check that the
 // derived sets cover the hand-written CompactColumn lists PR 1 shipped for
-// every studied query), misuse detection, and result equality of every
-// builder-described query across all compaction policies and thread
-// counts.
+// every studied query), misuse detection, and byte identity of every
+// builder-described query with Typer across thread counts and vector
+// sizes.
 
 namespace vcq::tectorwise {
 namespace {
@@ -220,10 +220,10 @@ TEST(PlanDerivationTest, MisuseAcrossRematerializingOperatorIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Builder-described execution matches a scalar reference on all policies
+// Builder-described execution matches a scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
+TEST(PlanExecutionTest, JoinGroupPipelineMatchesReference) {
   const Relation fact = MakeFact(50'000);
   Relation dim;
   constexpr size_t kDim = 100;
@@ -235,21 +235,19 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
       flag[i] = static_cast<int32_t>(i % 7 == 0);
     }
   }
-  // Reference: sum(b) grouped by a over rows with a < 8 (sparse ~8%
-  // survivors, exercising the compaction points) joined to flagged dims.
-  std::map<int32_t, int64_t> want;
-  {
-    const auto a = fact.Col<int32_t>("a");
-    const auto b = fact.Col<int64_t>("b");
-    const auto flag = dim.Col<int32_t>("flag");
-    for (size_t i = 0; i < fact.tuple_count(); ++i) {
-      if (a[i] < 8 && flag[a[i]] == 1) want[a[i]] += b[i];
+  // sum(b) grouped by a over rows with a < cutoff joined to flagged dims.
+  // cutoff 1 leaves ~1% survivors, so the Select and join outputs are
+  // sparse and compact; cutoff 8 (~8%) passes through dense.
+  for (const int32_t cutoff : {1, 8}) {
+    std::map<int32_t, int64_t> want;
+    {
+      const auto a = fact.Col<int32_t>("a");
+      const auto b = fact.Col<int64_t>("b");
+      const auto flag = dim.Col<int32_t>("flag");
+      for (size_t i = 0; i < fact.tuple_count(); ++i) {
+        if (a[i] < cutoff && flag[a[i]] == 1) want[a[i]] += b[i];
+      }
     }
-  }
-
-  for (const auto mode :
-       {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-        runtime::CompactionMode::kAdaptive}) {
     for (const size_t threads : {size_t{1}, size_t{3}}) {
       PlanBuilder pb("t");
       auto& dscan = pb.Scan(dim, "dim");
@@ -262,7 +260,7 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
       const ColumnRef a = fscan.Col<int32_t>("a");
       const ColumnRef b = fscan.Col<int64_t>("b");
       auto& fsel = pb.Select(fscan);
-      fsel.Cmp<int32_t>(a, CmpOp::kLess, 8);
+      fsel.Cmp<int32_t>(a, CmpOp::kLess, cutoff);
 
       auto& join = pb.HashJoin(dsel, fsel);
       join.Key<int32_t>(a, k);
@@ -276,8 +274,6 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
 
       QueryOptions opt;
       opt.threads = threads;
-      opt.compaction = mode;
-      opt.compaction_threshold = 0.25;
 
       std::map<int32_t, int64_t> got;
       plan.Run(opt, [&](const Plan::Batch& batch) {
@@ -286,51 +282,46 @@ TEST(PlanExecutionTest, JoinGroupPipelineMatchesReferenceAcrossPolicies) {
               batch.Column<int64_t>(g_b)[i];
         }
       });
-      EXPECT_EQ(got, want) << "mode=" << static_cast<int>(mode)
-                           << " threads=" << threads;
+      EXPECT_EQ(got, want) << "cutoff=" << cutoff << " threads=" << threads;
     }
   }
 }
 
-TEST(PlanExecutionTest, DensePartitionOutputMergesGroupEmission) {
-  // 512 groups spread over HashGroup's 64 hash partitions: per-partition
-  // emission produces ~64 tiny batches, partition-emission compaction must
-  // fold them into ceil(512 / 1024) = 1 full dense vector (same rows).
+TEST(PlanExecutionTest, GroupEmissionPacksPartitionsIntoFullVectors) {
+  // 512 groups spread over HashGroup's 64 hash partitions: emission must
+  // fold them into ceil(512 / 1024) = 1 full dense vector rather than one
+  // remnant per partition, with the reference's rows.
   const size_t n = 100'000;
   Relation fact;
+  std::map<int32_t, int64_t> want;
   {
     auto a = fact.AddColumn<int32_t>("a", n);
     auto b = fact.AddColumn<int64_t>("b", n);
     for (size_t i = 0; i < n; ++i) {
       a[i] = static_cast<int32_t>(i % 512);
       b[i] = static_cast<int64_t>(i);
+      want[a[i]] += b[i];
     }
   }
-  auto run = [&](bool dense) {
-    PlanBuilder pb("t");
-    auto& scan = pb.Scan(fact, "fact");
-    const ColumnRef a = scan.Col<int32_t>("a");
-    const ColumnRef b = scan.Col<int64_t>("b");
-    auto& group = pb.HashGroup(scan);
-    const ColumnRef g_a = group.Key<int32_t>(a);
-    const ColumnRef g_b = group.Sum(b);
-    group.DensePartitionOutput(dense);
-    const Plan plan = pb.Build(group, {g_a, g_b});
-    std::map<int32_t, int64_t> got;
-    size_t batches = 0;
-    plan.Run(QueryOptions{}, [&](const Plan::Batch& batch) {
-      ++batches;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        got[batch.Column<int32_t>(g_a)[i]] += batch.Column<int64_t>(g_b)[i];
-      }
-    });
-    return std::pair<std::map<int32_t, int64_t>, size_t>{got, batches};
-  };
-  const auto [sparse_rows, sparse_batches] = run(false);
-  const auto [dense_rows, dense_batches] = run(true);
-  EXPECT_EQ(sparse_rows, dense_rows);
-  EXPECT_EQ(dense_batches, 1u);
-  EXPECT_GT(sparse_batches, 32u);  // one batch per non-empty partition
+  PlanBuilder pb("t");
+  auto& scan = pb.Scan(fact, "fact");
+  const ColumnRef a = scan.Col<int32_t>("a");
+  const ColumnRef b = scan.Col<int64_t>("b");
+  auto& group = pb.HashGroup(scan);
+  const ColumnRef g_a = group.Key<int32_t>(a);
+  const ColumnRef g_b = group.Sum(b);
+  const Plan plan = pb.Build(group, {g_a, g_b});
+  std::map<int32_t, int64_t> got;
+  size_t batches = 0;
+  plan.Run(QueryOptions{}, [&](const Plan::Batch& batch) {
+    ++batches;
+    EXPECT_EQ(batch.sel(), nullptr);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      got[batch.Column<int32_t>(g_a)[i]] += batch.Column<int64_t>(g_b)[i];
+    }
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batches, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,30 +392,33 @@ TEST(PlanRegistrationTest, ToStringListsNodesAndRegistrations) {
 }
 
 // ---------------------------------------------------------------------------
-// All nine queries: byte-identical results across policies x threads
+// All nine queries: byte-identical to Typer across threads x vector sizes
 // ---------------------------------------------------------------------------
 
-QueryOptions MatrixOptions(runtime::CompactionMode mode, size_t threads) {
+QueryResult TyperResult(const Database& db, Query query) {
+  QueryOptions opt;
+  opt.threads = 1;
+  return RunQuery(db, Engine::kTyper, query, opt);
+}
+
+QueryOptions MatrixOptions(size_t threads, size_t vector_size) {
   QueryOptions opt;
   opt.threads = threads;
-  opt.compaction = mode;
+  opt.vector_size = vector_size;
   return opt;
 }
 
-TEST(PlanEquivalenceTest, AllQueriesAcrossPoliciesAndThreads) {
+TEST(PlanEquivalenceTest, AllQueriesMatchTyperAcrossThreadsAndVectorSizes) {
   auto check = [](const Database& db, Query query) {
-    const QueryResult baseline =
-        RunQuery(db, Engine::kTectorwise, query,
-                 MatrixOptions(runtime::CompactionMode::kNever, 1));
-    for (const auto mode :
-         {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-          runtime::CompactionMode::kAdaptive}) {
-      for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const QueryResult expected = TyperResult(db, query);
+    ASSERT_TRUE(expected.ok()) << QueryName(query);
+    for (const size_t threads : {size_t{1}, size_t{8}}) {
+      for (const size_t vector_size : {size_t{64}, size_t{1024}}) {
         const QueryResult got = RunQuery(db, Engine::kTectorwise, query,
-                                         MatrixOptions(mode, threads));
-        EXPECT_EQ(baseline.ToString(), got.ToString())
-            << QueryName(query) << " mode=" << static_cast<int>(mode)
-            << " threads=" << threads;
+                                         MatrixOptions(threads, vector_size));
+        EXPECT_EQ(expected.ToString(), got.ToString())
+            << QueryName(query) << " threads=" << threads
+            << " vector_size=" << vector_size;
       }
     }
   };
@@ -432,20 +426,17 @@ TEST(PlanEquivalenceTest, AllQueriesAcrossPoliciesAndThreads) {
   for (const Query query : SsbQueries()) check(SsbDb(), query);
 }
 
-TEST(PlanEquivalenceTest, AdaptiveQ1MatchesHashQ1AcrossPolicies) {
-  const QueryResult baseline =
-      RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ1,
-               MatrixOptions(runtime::CompactionMode::kNever, 1));
-  for (const auto mode :
-       {runtime::CompactionMode::kNever, runtime::CompactionMode::kAlways,
-        runtime::CompactionMode::kAdaptive}) {
-    for (const size_t threads : {size_t{1}, size_t{4}}) {
-      QueryOptions opt = MatrixOptions(mode, threads);
+TEST(PlanEquivalenceTest, AdaptiveQ1MatchesTyper) {
+  const QueryResult expected = TyperResult(TpchDb(), Query::kQ1);
+  ASSERT_TRUE(expected.ok());
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    for (const size_t vector_size : {size_t{64}, size_t{1024}}) {
+      QueryOptions opt = MatrixOptions(threads, vector_size);
       opt.adaptive = true;
       const QueryResult got =
           RunQuery(TpchDb(), Engine::kTectorwise, Query::kQ1, opt);
-      EXPECT_EQ(baseline.ToString(), got.ToString())
-          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
+      EXPECT_EQ(expected.ToString(), got.ToString())
+          << "threads=" << threads << " vector_size=" << vector_size;
     }
   }
 }

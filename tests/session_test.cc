@@ -18,7 +18,8 @@
 // The Session API contract:
 //  - prepared re-execution identity: Execute() x3 on one PreparedQuery is
 //    byte-identical to the one-shot RunQuery for every query, engine,
-//    compaction policy, and thread count;
+//    vector size, and thread count, and every cell to single-threaded
+//    Typer;
 //  - concurrent mixed-query execution on shared sessions matches the
 //    serial reference (run under TSan in CI);
 //  - parameter binding: explicit spec-default bindings reproduce the
@@ -28,7 +29,6 @@
 namespace vcq {
 namespace {
 
-using runtime::CompactionMode;
 using runtime::Database;
 using runtime::QueryOptions;
 using runtime::QueryParams;
@@ -56,21 +56,26 @@ TEST(SessionTest, PreparedReExecutionMatchesOneShotRunQuery) {
   for (Query q : AllQueries()) {
     const Database& db = DbFor(q);
     Session session(db);
+    // Single-threaded Typer anchors every cell byte for byte.
+    const QueryResult anchor = RunQuery(db, Engine::kTyper, q, {});
     for (Engine e : {Engine::kTyper, Engine::kTectorwise}) {
-      for (CompactionMode policy :
-           {CompactionMode::kNever, CompactionMode::kAdaptive}) {
-        // Compaction is a Tectorwise knob; skip the redundant Typer cell.
-        if (e == Engine::kTyper && policy != CompactionMode::kNever) continue;
+      for (size_t vector_size : {size_t{64}, size_t{1024}}) {
+        // Vector size is a Tectorwise knob; skip the redundant Typer cell.
+        if (e == Engine::kTyper && vector_size != 1024) continue;
         for (size_t threads : {size_t{1}, size_t{8}}) {
           QueryOptions opt;
           opt.threads = threads;
-          opt.compaction = policy;
+          opt.vector_size = vector_size;
           const QueryResult expected = RunQuery(db, e, q, opt);
+          EXPECT_EQ(expected, anchor)
+              << QueryName(q) << " on " << EngineName(e)
+              << " threads=" << threads << " vector_size=" << vector_size;
           PreparedQuery prepared = session.Prepare(e, q, opt);
           for (int rep = 0; rep < 3; ++rep) {
             EXPECT_EQ(prepared.Execute(), expected)
                 << QueryName(q) << " on " << EngineName(e)
-                << " threads=" << threads << " rep=" << rep;
+                << " threads=" << threads << " vector_size=" << vector_size
+                << " rep=" << rep;
           }
         }
       }
@@ -84,7 +89,6 @@ TEST(SessionTest, FourConcurrentPreparedQueriesOnOneSession) {
   Session session(TpchDb());
   QueryOptions opt;
   opt.threads = 4;
-  opt.compaction = CompactionMode::kAdaptive;
   std::vector<PreparedQuery> prepared;
   prepared.push_back(session.Prepare(Engine::kTyper, Query::kQ6, opt));
   prepared.push_back(session.Prepare(Engine::kTectorwise, Query::kQ3, opt));

@@ -20,9 +20,10 @@
 
 // The SQL front door's strongest guarantee: for every query of the studied
 // workload, the hand-written SQL text (sql/reference_queries.h) prepared
-// through Session::PrepareSql yields BYTE-IDENTICAL results to the
-// catalog's hand-built plans — on Tectorwise at 1 and 8 threads and on the
-// Volcano interpreter, under the spec-default parameter bindings. On top
+// through Session::PrepareSql on the Volcano interpreter yields
+// BYTE-IDENTICAL results to the catalog's hand-built Tectorwise plan and to
+// the same text on Tectorwise at threads {1, 8} x vector sizes {64, 1024},
+// under the spec-default parameter bindings. On top
 // of that, a seeded random-query sweep (sql/fuzz.h) differentially tests
 // the two lowerings against each other far outside the nine fixed shapes.
 // The sweep's Volcano side runs an independently planned query — join
@@ -73,27 +74,30 @@ TEST_P(SqlWorkloadTest, SqlMatchesCatalogPlanOnAllEngines) {
   ASSERT_NE(text, nullptr) << name;
 
   Session session(DbFor(info->workload));
-  // The ground truth: the catalog's hand-built Tectorwise plan with its
-  // spec-default bindings.
-  const QueryResult reference =
-      session.Prepare(Engine::kTectorwise, info->query).Execute();
-  ASSERT_TRUE(reference.ok()) << name;
-  ASSERT_FALSE(reference.rows.empty()) << name << ": empty reference";
-
-  for (const size_t threads : {size_t{1}, size_t{8}}) {
-    QueryOptions opt;
-    opt.threads = threads;
-    PreparedQuery q =
-        session.PrepareSql(text, Engine::kTectorwise, opt);
-    BindDefaults(q, *info);
-    const QueryResult got = q.Execute();
-    EXPECT_EQ(got, reference)
-        << name << " (tectorwise, " << threads << " threads)\n"
-        << text;
-  }
+  // The ground truth: the SQL text on the Volcano interpreter, with the
+  // catalog's spec-default bindings.
   PreparedQuery v = session.PrepareSql(text, Engine::kVolcano);
   BindDefaults(v, *info);
-  EXPECT_EQ(v.Execute(), reference) << name << " (volcano)\n" << text;
+  const QueryResult reference = v.Execute();
+  ASSERT_TRUE(reference.ok()) << name;
+  ASSERT_FALSE(reference.rows.empty()) << name << ": empty reference";
+  EXPECT_EQ(session.Prepare(Engine::kTectorwise, info->query).Execute(),
+            reference)
+      << name << " (catalog plan)";
+
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    for (const size_t vector_size : {size_t{64}, size_t{1024}}) {
+      QueryOptions opt;
+      opt.threads = threads;
+      opt.vector_size = vector_size;
+      PreparedQuery q = session.PrepareSql(text, Engine::kTectorwise, opt);
+      BindDefaults(q, *info);
+      EXPECT_EQ(q.Execute(), reference)
+          << name << " (tectorwise, " << threads << " threads, vector "
+          << vector_size << ")\n"
+          << text;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNine, SqlWorkloadTest,

@@ -40,8 +40,8 @@ const runtime::Database& TpchDb() {
 void RegisterTestKnobs(Tuner& tuner) {
   tuner.RegisterKnob("vector_size", kQueryKnob, KnobKind::kVectorSize,
                      {256, 512, 1024, 2048}, 2);
-  tuner.RegisterKnob("select.compaction", 1, KnobKind::kCompaction,
-                     {0, 1, 16, 64, 256}, 2);
+  tuner.RegisterKnob("node.vector_size", 1, KnobKind::kVectorSize,
+                     {64, 128, 256, 512, 1024}, 2);
   tuner.RegisterKnob("join.rof", 3, KnobKind::kRof, {0, 1}, 0);
 }
 
@@ -137,7 +137,7 @@ TEST(TunerTest, UntrainedBestArmIsDefault) {
   KnobChoices choices;
   tuner.Resolve(TuningMode::kFrozen, &choices);
   EXPECT_EQ(choices.Get(kQueryKnob, KnobKind::kVectorSize), 1024);
-  EXPECT_EQ(choices.Get(1, KnobKind::kCompaction), 16);
+  EXPECT_EQ(choices.Get(1, KnobKind::kVectorSize), 256);
   EXPECT_EQ(choices.Get(3, KnobKind::kRof), 0);
   EXPECT_FALSE(tuner.Converged());
 }
@@ -269,7 +269,8 @@ TEST(TunerSessionTest, LearnedQueryFreezesAndExplains) {
   const std::string explain = q.ExplainTuning();
   EXPECT_NE(explain.find("tuner: seed=5"), std::string::npos) << explain;
   EXPECT_NE(explain.find("vector_size"), std::string::npos) << explain;
-  EXPECT_NE(explain.find("compaction"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("tw.join#"), std::string::npos) << explain;
+  EXPECT_NE(explain.find("rof"), std::string::npos) << explain;
 
   q.FreezeTuning();
   EXPECT_NE(q.ExplainTuning().find("[frozen]"), std::string::npos);
