@@ -84,16 +84,14 @@ int main(int argc, char** argv) {
   std::printf("%s", result.ToString().c_str());
 
   // Same prepared plan, different market segment: parameter binding on the
-  // warm handle (Volcano runs defaults only, so skip the rebinding there).
-  if (engine != vcq::Engine::kVolcano) {
-    q3.Set("segment", "MACHINERY");
-    ms = RunTimed(q3, &result);
-    std::printf(
-        "\n--- Top unshipped orders by value (TPC-H Q3, MACHINERY) — %.1f ms "
-        "---\n",
-        ms);
-    std::printf("%s", result.ToString().c_str());
-  }
+  // warm handle.
+  q3.Set("segment", "MACHINERY");
+  ms = RunTimed(q3, &result);
+  std::printf(
+      "\n--- Top unshipped orders by value (TPC-H Q3, MACHINERY) — %.1f ms "
+      "---\n",
+      ms);
+  std::printf("%s", result.ToString().c_str());
 
   vcq::PreparedQuery q18 = session.Prepare(engine, vcq::Query::kQ18, opt);
   ms = RunTimed(q18, &result);

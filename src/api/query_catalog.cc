@@ -33,7 +33,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kQ1,
       "Q1",
       Workload::kTpch,
-      /*volcano=*/true,
       {DateParam("shipdate", "1998-09-02", "l_shipdate <= :shipdate")},
       "pricing summary: in-cache aggregation, fixed-point arithmetic"});
 
@@ -41,7 +40,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kQ6,
       "Q6",
       Workload::kTpch,
-      /*volcano=*/true,
       {DateParam("shipdate_lo", "1994-01-01", "l_shipdate >= :shipdate_lo"),
        DateParam("shipdate_hi", "1994-12-31", "l_shipdate <= :shipdate_hi"),
        IntParam("discount_lo", 5, "l_discount >= :discount_lo (scale 2)"),
@@ -53,7 +51,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kQ3,
       "Q3",
       Workload::kTpch,
-      /*volcano=*/true,
       {StrParam("segment", "BUILDING", "c_mktsegment == :segment"),
        DateParam("date", "1995-03-15",
                  "o_orderdate < :date and l_shipdate > :date")},
@@ -63,7 +60,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kQ9,
       "Q9",
       Workload::kTpch,
-      /*volcano=*/true,
       {StrParam("color", "green", "p_name contains :color")},
       "product-type profit: four joins (one composite-key), group-by"});
 
@@ -71,7 +67,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kQ18,
       "Q18",
       Workload::kTpch,
-      /*volcano=*/true,
       {IntParam("quantity_min", 30000,
                 "having sum(l_quantity) > :quantity_min (scale 2)")},
       "large-volume customers: high-cardinality aggregation, having"});
@@ -80,7 +75,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kSsbQ11,
       "SSB-Q1.1",
       Workload::kSsb,
-      /*volcano=*/false,
       {IntParam("year", 1993, "d_year == :year"),
        IntParam("discount_lo", 1, "lo_discount >= :discount_lo"),
        IntParam("discount_hi", 3, "lo_discount <= :discount_hi"),
@@ -91,7 +85,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kSsbQ21,
       "SSB-Q2.1",
       Workload::kSsb,
-      /*volcano=*/false,
       {StrParam("category", "MFGR#12", "p_category == :category"),
        StrParam("region", "AMERICA", "s_region == :region")},
       "part + supplier + date joins, group by (year, brand)"});
@@ -100,7 +93,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kSsbQ31,
       "SSB-Q3.1",
       Workload::kSsb,
-      /*volcano=*/false,
       {StrParam("region", "ASIA", "c_region == :region == s_region"),
        IntParam("year_lo", 1992, "d_year >= :year_lo"),
        IntParam("year_hi", 1997, "d_year <= :year_hi")},
@@ -110,7 +102,6 @@ std::vector<QueryInfo> BuildCatalog() {
       Query::kSsbQ41,
       "SSB-Q4.1",
       Workload::kSsb,
-      /*volcano=*/false,
       {StrParam("region", "AMERICA", "c_region == :region == s_region"),
        StrParam("mfgr_a", "MFGR#1", "p_mfgr == :mfgr_a || :mfgr_b"),
        StrParam("mfgr_b", "MFGR#2", "p_mfgr == :mfgr_a || :mfgr_b")},

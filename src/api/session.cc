@@ -25,11 +25,11 @@
 #include "sql/catalog.h"
 #include "sql/logical.h"
 #include "sql/optimizer.h"
+#include "sql/reference_queries.h"
 #include "sql/sql.h"
 #include "tectorwise/plan.h"
 #include "tectorwise/queries.h"
 #include "typer/queries.h"
-#include "volcano/queries.h"
 
 namespace vcq {
 
@@ -46,10 +46,6 @@ namespace {
 using TyperFn = QueryResult (*)(const Database&, const QueryOptions&,
                                 const QueryParams&,
                                 const typer::ColumnCache&);
-/// A std::function, not a raw pointer: catalog queries bind the interpreter
-/// entry points below, SQL queries bind a closure over their compiled plan.
-using VolcanoFn = std::function<QueryResult(
-    const Database&, const QueryOptions&, const QueryParams&)>;
 
 TyperFn TyperRunner(Query query) {
   switch (query) {
@@ -64,19 +60,6 @@ TyperFn TyperRunner(Query query) {
     case Query::kSsbQ41: return &typer::RunSsbQ41;
   }
   VCQ_CHECK_MSG(false, "unreachable");
-  return nullptr;
-}
-
-VolcanoFn VolcanoRunner(Query query) {
-  switch (query) {
-    case Query::kQ1: return &volcano::RunQ1;
-    case Query::kQ6: return &volcano::RunQ6;
-    case Query::kQ3: return &volcano::RunQ3;
-    case Query::kQ9: return &volcano::RunQ9;
-    case Query::kQ18: return &volcano::RunQ18;
-    default: break;
-  }
-  VCQ_CHECK_MSG(false, "Volcano does not implement this query");
   return nullptr;
 }
 
@@ -153,7 +136,6 @@ QueryInfo SqlQueryInfo(const sql::CompiledQuery& q,
   info.name = "SQL";
   info.workload = catalog.Find("lineorder") != nullptr ? Workload::kSsb
                                                        : Workload::kTpch;
-  info.volcano = true;
   info.description = q.text();
   for (const sql::ParamDecl& p : q.params()) {
     ParamSpec spec;
@@ -269,6 +251,26 @@ size_t SqlEstimatedBuildBytes(const sql::PhysicalPlan& plan) {
   return bytes;
 }
 
+/// The session-dependent option rules Prepare and PrepareSql share: the
+/// session pool is the default; the session's stream id only names a
+/// stream on that pool's own scheduler (on a caller-supplied foreign pool
+/// it could collide with some other session's stream there, so such runs
+/// use that scheduler's default stream — a stale caller-supplied id must
+/// not leak through either); and the region width is clamped to what the
+/// gang set can admit: the scheduler hands out a region's slots
+/// all-or-nothing, and the executing thread itself acts as worker 0, so a
+/// query is at most capacity + 1 wide (scheduler_threads is an explicit
+/// per-query cap below that).
+QueryOptions SessionOptions(QueryOptions opt, runtime::WorkerPool* pool,
+                            uint64_t stream) {
+  if (opt.pool == nullptr) opt.pool = pool;
+  opt.sched_stream = opt.pool == pool ? stream : 0;
+  size_t cap = opt.pool->scheduler().thread_count() + 1;
+  if (opt.scheduler_threads > 0) cap = std::min(cap, opt.scheduler_threads);
+  opt.threads = std::max<size_t>(1, std::min(opt.threads, cap));
+  return opt;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -300,12 +302,14 @@ struct PreparedQuery::Impl {
   Query query;
   QueryOptions opt;
   const QueryInfo* info;
-  /// SQL-prepared handles only: the compiled query (kept alive for the
-  /// Volcano closure and introspection) and the synthesized catalog row
+  /// SQL-prepared handles only: the flag and the synthesized catalog row
   /// `info` points at.
   bool is_sql = false;
-  std::shared_ptr<const sql::CompiledQuery> sql;
   QueryInfo owned_info;
+  /// The compiled SQL every Volcano handle runs (a catalog query compiles
+  /// its reference text, sql::SqlTextFor); SQL handles keep it on every
+  /// engine.
+  std::shared_ptr<const sql::CompiledQuery> sql;
   /// What ResetParams restores and Execute(params) layers under: the
   /// catalog's spec defaults, or empty for SQL (no declared defaults).
   QueryParams defaults;
@@ -317,8 +321,6 @@ struct PreparedQuery::Impl {
   /// Execute; later ones skip the per-run accessor derivation).
   TyperFn typer = nullptr;
   typer::ColumnCache typer_cache;
-  /// Volcano only.
-  VolcanoFn volcano = nullptr;
 
   mutable std::mutex params_mu;
   QueryParams bound;  // guarded by params_mu
@@ -492,7 +494,7 @@ struct PreparedQuery::Impl {
           result = tw->Run(run_opt, params);
           break;
         case Engine::kVolcano:
-          result = volcano(*db, run_opt, params);
+          result = sql->RunVolcano(run_opt, params);
           break;
       }
     } catch (...) {
@@ -986,28 +988,11 @@ double Session::weight() const {
 
 PreparedQuery Session::Prepare(Engine engine, Query query,
                                const QueryOptions& options) const {
-  VCQ_CHECK_MSG(EngineSupports(engine, query),
-                "engine does not implement this query");
   auto impl = std::make_shared<PreparedQuery::Impl>();
   impl->db = db_;
   impl->engine = engine;
   impl->query = query;
-  impl->opt = options;
-  if (impl->opt.pool == nullptr) impl->opt.pool = pool_;
-  // The session's stream id only names a stream on the session pool's own
-  // scheduler; on a caller-supplied foreign pool it could collide with
-  // some other session's stream there, so such runs use that scheduler's
-  // default stream (a stale caller-supplied id must not leak through
-  // either).
-  impl->opt.sched_stream = impl->opt.pool == pool_ ? stream_ : 0;
-  // Clamp the region width to what the gang set can admit: the scheduler
-  // hands out a region's slots all-or-nothing, and the executing thread
-  // itself acts as worker 0, so a query is at most capacity + 1 wide
-  // (scheduler_threads is an explicit per-query cap below that).
-  size_t cap = impl->opt.pool->scheduler().thread_count() + 1;
-  if (impl->opt.scheduler_threads > 0)
-    cap = std::min(cap, impl->opt.scheduler_threads);
-  impl->opt.threads = std::max<size_t>(1, std::min(impl->opt.threads, cap));
+  impl->opt = SessionOptions(options, pool_, stream_);
   impl->info = &CatalogEntry(query);
   impl->defaults = DefaultParams(query);
   impl->bound = impl->defaults;
@@ -1021,7 +1006,17 @@ PreparedQuery Session::Prepare(Engine engine, Query query,
       // Fail query/catalog drift here, not at the first Execute.
       ValidatePlanParams(impl->tw->plan(), *impl->info);
       break;
-    case Engine::kVolcano: impl->volcano = VolcanoRunner(query); break;
+    case Engine::kVolcano: {
+      // Volcano, the differential oracle, runs the query's
+      // optimizer-lowered reference SQL. The shipped texts compile by
+      // construction, so a failure here is an internal invariant.
+      const char* text = sql::SqlTextFor(impl->info->name);
+      VCQ_CHECK_MSG(text != nullptr, "catalog query has no reference SQL");
+      sql::CompileResult compiled = sql::Compile(SqlCatalog(), text);
+      VCQ_CHECK_MSG(compiled.ok(), compiled.error->Format().c_str());
+      impl->sql = compiled.query;
+      break;
+    }
   }
   // Self-tuning (runtime/tuner.h): every tunable decision of this query
   // becomes a bandit knob, with the prepared options as the default arms —
@@ -1078,14 +1073,7 @@ PreparedQuery Session::PrepareSql(std::string_view sql_text, Engine engine,
   impl->engine = engine;
   impl->is_sql = true;
   impl->sql = compiled.query;
-  impl->opt = options;
-  if (impl->opt.pool == nullptr) impl->opt.pool = pool_;
-  // Same pool/stream/thread-clamp rules as Prepare (see there).
-  impl->opt.sched_stream = impl->opt.pool == pool_ ? stream_ : 0;
-  size_t cap = impl->opt.pool->scheduler().thread_count() + 1;
-  if (impl->opt.scheduler_threads > 0)
-    cap = std::min(cap, impl->opt.scheduler_threads);
-  impl->opt.threads = std::max<size_t>(1, std::min(impl->opt.threads, cap));
+  impl->opt = SessionOptions(options, pool_, stream_);
   impl->owned_info = SqlQueryInfo(*compiled.query, *catalog);
   impl->info = &impl->owned_info;
   // No spec defaults: impl->defaults / impl->bound stay empty until Set.
@@ -1102,12 +1090,7 @@ PreparedQuery Session::PrepareSql(std::string_view sql_text, Engine engine,
       break;
     }
     case Engine::kVolcano:
-      impl->volcano = [q = compiled.query](const Database&,
-                                           const QueryOptions& opt,
-                                           const QueryParams& params) {
-        return q->RunVolcano(opt, params);
-      };
-      break;
+      break;  // runs impl->sql
   }
   if (options.tuning != TuningMode::kOff && engine == Engine::kTectorwise) {
     impl->work_tuples =

@@ -253,10 +253,11 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Validates that `engine` implements `query`, builds the plan once
-  /// (Tectorwise; Typer pipelines are ahead-of-time compiled, so prepare
-  /// is validation + parameter setup + column-accessor cache creation),
-  /// cross-checks plan parameter reads against the catalog
+  /// Builds the plan once (Tectorwise; Typer pipelines are ahead-of-time
+  /// compiled, so prepare is parameter setup + column-accessor cache
+  /// creation; Volcano compiles the query's reference SQL,
+  /// sql::SqlTextFor, against this session's SQL catalog), cross-checks
+  /// Tectorwise plan parameter reads against the catalog
   /// (ValidatePlanParams), and returns the reusable handle with the
   /// catalog's default bindings. `options.threads` is clamped to the
   /// session pool's gang capacity + 1 — the executing thread acts as
@@ -275,7 +276,8 @@ class Session {
   /// Execute. Malformed SQL check-fails here with a 1-based line:column
   /// position — never at Execute; callers wanting a recoverable error use
   /// sql::Compile directly. Engines: kTectorwise (plan built once, fully
-  /// parallel) and kVolcano (tuple-at-a-time differential oracle); kTyper
+  /// parallel) and kVolcano (tuple-at-a-time differential oracle, the same
+  /// lowering a catalog Volcano Prepare runs its reference SQL on); kTyper
   /// pipelines are ahead-of-time compiled per catalog query and cannot run
   /// arbitrary SQL — asking for it check-fails. Thread clamping, admission,
   /// tuning knobs, retry/degradation ladders all behave as for Prepare.
@@ -316,8 +318,8 @@ class Session {
 
  private:
   /// Lazily builds (and then shares) the SQL catalog — schema + column
-  /// statistics snapshot of db_ — across every PrepareSql/ExplainSql of
-  /// this session.
+  /// statistics snapshot of db_ — across every PrepareSql/ExplainSql and
+  /// Volcano Prepare of this session.
   std::shared_ptr<const sql::Catalog> SqlCatalog() const;
 
   const runtime::Database* db_;

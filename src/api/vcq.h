@@ -213,10 +213,10 @@
 //   VCQ_SLOW_QUERY_MS=<n> additionally logs one stderr line per query
 //   slower than n ms: name, bindings, status, rung, and its top-3 spans.
 //
-// The query list, engine support, and per-query parameter specifications
-// (names, types, spec defaults) live in the vcq::QueryCatalog
-// (api/query_catalog.h) — the single registry behind TpchQueries(),
-// SsbQueries(), EngineSupports(), and every bench/example query list.
+// The query list and per-query parameter specifications (names, types,
+// spec defaults) live in the vcq::QueryCatalog (api/query_catalog.h) —
+// the single registry behind TpchQueries(), SsbQueries(), and every
+// bench/example query list. Every engine implements every query.
 //
 // RunQuery below survives as a one-shot convenience wrapper over a
 // temporary Session with default bindings. See examples/quickstart.cpp
@@ -227,9 +227,9 @@ namespace vcq {
 
 /// The three execution paradigms (paper Table 6 cells):
 /// Typer = push + compilation, Tectorwise = pull + vectorization,
-/// Volcano = pull + interpretation (single-threaded; TPC-H only in the
-/// catalog, both workloads through PrepareSql — its role is the SQL
-/// differential oracle).
+/// Volcano = pull + interpretation (single-threaded; it runs the
+/// optimizer-lowered reference SQL of every catalog query and any
+/// PrepareSql text — its role is the differential oracle).
 enum class Engine { kTyper, kTectorwise, kVolcano };
 
 /// The studied workload (paper §3.3 and §4.4).
@@ -264,9 +264,6 @@ const char* QueryName(Query query);
 bool IsSsbQuery(Query query);
 std::vector<Query> TpchQueries();
 std::vector<Query> SsbQueries();
-
-/// True if `engine` implements `query` (Volcano covers TPC-H only).
-bool EngineSupports(Engine engine, Query query);
 
 }  // namespace vcq
 

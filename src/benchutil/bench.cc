@@ -52,27 +52,26 @@ Measurement MeasureQuery(const runtime::Database& db, Engine engine,
                          Query query, const runtime::QueryOptions& opt,
                          int reps) {
   // Timed reps run exactly as configured; the instrumented rep re-runs
-  // with tracing on and reads the build/probe split from the trace the
-  // session stamps into the result.
+  // with tracing on, and the build share of its wall time (from the trace
+  // the session stamps into the result) splits the untraced median.
   Measurement m = Measure([&] { RunQuery(db, engine, query, opt); }, reps);
   runtime::QueryOptions traced = opt;
   traced.trace = runtime::TraceLevel::kSpans;
   runtime::PerfCounters counters;
   counters.Start();
-  const double instr_start = Now();
-  const std::shared_ptr<const runtime::QueryTrace> trace =
-      RunQuery(db, engine, query, traced).trace;
-  const double instr_ms = Now() - instr_start;
+  const runtime::QueryResult result = RunQuery(db, engine, query, traced);
   m.counters = counters.Stop();
   uint64_t build_ns = 0;
-  if (trace != nullptr) {
-    for (const runtime::TraceSpan& span : trace->Spans()) {
+  if (result.trace != nullptr) {
+    for (const runtime::TraceSpan& span : result.trace->Spans()) {
       if (span.name == runtime::QueryTrace::kJoinBuild)
         build_ns += span.duration_ns();
     }
   }
-  m.build_ms = static_cast<double>(build_ns) / 1e6;
-  m.probe_ms = std::max(0.0, instr_ms - m.build_ms);
+  // Join-build spans nest inside the run, so the share is within [0, 1].
+  m.build_ms = m.ms * static_cast<double>(build_ns) /
+               static_cast<double>(result.wall_ns);
+  m.probe_ms = m.ms - m.build_ms;
   m.tuples = TuplesScanned(db, query);
   return m;
 }

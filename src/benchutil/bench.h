@@ -28,12 +28,13 @@ struct Measurement {
   runtime::PerfCounters::Values counters;  // from the instrumented run
   size_t tuples = 0;                    // normalization base (paper §3.4)
 
-  // Build/probe phase split from the instrumented (traced) run: build_ms
-  // sums the run's join-build spans (one per hash table, sizing barrier to
-  // final barrier; spans of distinct builds never overlap, so nested
-  // build-side joins are not double-counted, and materialize-phase skew is
-  // excluded); probe_ms is the rest of that run. For queries without hash
-  // joins build_ms is 0 and probe_ms is the whole run.
+  // Build/probe split of the median `ms`: the instrumented (traced) run
+  // gives the build share — its join-build spans (one per hash table,
+  // sizing barrier to final barrier; spans of distinct builds never
+  // overlap, so nested build-side joins are not double-counted, and
+  // materialize-phase skew is excluded) over its wall time — and build_ms
+  // is that share of `ms`; probe_ms is the rest, so build_ms + probe_ms ==
+  // ms. For queries without hash joins build_ms is 0 and probe_ms is `ms`.
   double build_ms = 0;
   double probe_ms = 0;
 

@@ -153,13 +153,6 @@ class GroupByOp : public Operator {
                      std::vector<size_t> key_slots)
       : child_(std::move(child)), key_slots_(std::move(key_slots)) {}
 
-  /// Adds sum(child slot); pass SIZE_MAX for count(*). Returns the output
-  /// slot (keys first, then aggregates).
-  size_t AddAgg(size_t child_slot) {
-    return AddAggOp(child_slot == SIZE_MAX ? AggOp::kCount : AggOp::kSum,
-                    child_slot);
-  }
-
   /// Adds an aggregate of the given kind over `child_slot` (ignored for
   /// kCount). Returns the output slot (keys first, then aggregates).
   size_t AddAggOp(AggOp op, size_t child_slot = SIZE_MAX) {

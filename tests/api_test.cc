@@ -32,13 +32,6 @@ TEST(ApiTest, QueryListsPartitionTheWorkload) {
   for (Query q : SsbQueries()) EXPECT_TRUE(IsSsbQuery(q));
 }
 
-TEST(ApiTest, VolcanoDoesNotSupportSsb) {
-  EXPECT_TRUE(EngineSupports(Engine::kVolcano, Query::kQ1));
-  EXPECT_FALSE(EngineSupports(Engine::kVolcano, Query::kSsbQ11));
-  EXPECT_TRUE(EngineSupports(Engine::kTyper, Query::kSsbQ11));
-  EXPECT_TRUE(EngineSupports(Engine::kTectorwise, Query::kSsbQ11));
-}
-
 TEST(ApiTest, AdaptiveQ1MatchesStandardPlans) {
   // The §8.4 ordered-aggregation variant must be result-identical.
   const auto expected = RunQuery(TestDb(), Engine::kTyper, Query::kQ1, {});

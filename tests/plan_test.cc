@@ -15,10 +15,10 @@
 
 // The declarative plan-builder layer: slot-usage-derived compaction
 // registration (unit tests on synthetic plans + a cross-check that the
-// derived sets cover the hand-written CompactColumn lists PR 1 shipped for
-// every studied query), misuse detection, and byte identity of every
-// builder-described query with Typer across thread counts and vector
-// sizes.
+// derived sets cover the hand-written CompactColumn lists of every studied
+// query), misuse detection, and byte identity of the adaptive Q1 plan with
+// Typer across thread counts and vector sizes (compaction_test checks the
+// standard plans of all nine queries the same way).
 
 namespace vcq::tectorwise {
 namespace {
@@ -392,7 +392,9 @@ TEST(PlanRegistrationTest, ToStringListsNodesAndRegistrations) {
 }
 
 // ---------------------------------------------------------------------------
-// All nine queries: byte-identical to Typer across threads x vector sizes
+// Adaptive Q1: byte-identical to Typer across threads x vector sizes (the
+// standard plans of all nine queries are checked the same way by
+// compaction_test's CompactionEquivalenceTest.AllQueriesMatchTyper)
 // ---------------------------------------------------------------------------
 
 QueryResult TyperResult(const Database& db, Query query) {
@@ -406,24 +408,6 @@ QueryOptions MatrixOptions(size_t threads, size_t vector_size) {
   opt.threads = threads;
   opt.vector_size = vector_size;
   return opt;
-}
-
-TEST(PlanEquivalenceTest, AllQueriesMatchTyperAcrossThreadsAndVectorSizes) {
-  auto check = [](const Database& db, Query query) {
-    const QueryResult expected = TyperResult(db, query);
-    ASSERT_TRUE(expected.ok()) << QueryName(query);
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      for (const size_t vector_size : {size_t{64}, size_t{1024}}) {
-        const QueryResult got = RunQuery(db, Engine::kTectorwise, query,
-                                         MatrixOptions(threads, vector_size));
-        EXPECT_EQ(expected.ToString(), got.ToString())
-            << QueryName(query) << " threads=" << threads
-            << " vector_size=" << vector_size;
-      }
-    }
-  };
-  for (const Query query : TpchQueries()) check(TpchDb(), query);
-  for (const Query query : SsbQueries()) check(SsbDb(), query);
 }
 
 TEST(PlanEquivalenceTest, AdaptiveQ1MatchesTyper) {

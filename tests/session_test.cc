@@ -251,11 +251,13 @@ TEST(SessionTest, PartialExplicitBindingsLayerOverDefaults) {
 TEST(SessionTest, CatalogDeclaresEveryParameterTheEnginesRead) {
   // DefaultParams must fully cover each engine's parameter reads: running
   // with exactly the catalog defaults (what RunQuery does) must succeed
-  // for every query and engine, including Volcano's TPC-H half.
+  // for every query and engine. On Volcano this also guards drift between
+  // the catalog's ParamSpecs and the $parameters of the reference SQL it
+  // runs (sql/reference_queries.cc), on TPC-H and SSB alike: an undeclared
+  // $parameter has no default to resolve.
   for (Query q : AllQueries()) {
     const Database& db = DbFor(q);
     for (Engine e : {Engine::kTyper, Engine::kTectorwise, Engine::kVolcano}) {
-      if (!EngineSupports(e, q)) continue;
       EXPECT_FALSE(RunQuery(db, e, q, QueryOptions{}).rows.empty())
           << QueryName(q) << " on " << EngineName(e);
     }
@@ -321,17 +323,29 @@ TEST(SessionDeathTest, MisuseIsRejected) {
   QueryParams misspelled;
   misspelled.SetInt("disc_lo", 4);
   EXPECT_DEATH(q6.Execute(misspelled), "unknown parameter");
+}
 
-  // Volcano honors explicit bindings (it used to insist on the catalog
-  // defaults); a re-bound run must agree with Tectorwise under the same
-  // binding.
-  PreparedQuery volcano = session.Prepare(Engine::kVolcano, Query::kQ6);
+TEST(SessionTest, VolcanoHonorsBindingsOnBothWorkloads) {
+  // Volcano runs every catalog query — SSB included — from its reference
+  // SQL, and a re-bound run must agree with Tectorwise (TPC-H) and Typer
+  // (SSB) under the same binding.
+  Session tpch(TpchDb());
+  PreparedQuery volcano = tpch.Prepare(Engine::kVolcano, Query::kQ6);
   volcano.Set("discount_lo", int64_t{4});
-  PreparedQuery tw = session.Prepare(Engine::kTectorwise, Query::kQ6);
+  PreparedQuery tw = tpch.Prepare(Engine::kTectorwise, Query::kQ6);
   tw.Set("discount_lo", int64_t{4});
   EXPECT_EQ(volcano.Execute(), tw.Execute());
-  EXPECT_DEATH(session.Prepare(Engine::kVolcano, Query::kSsbQ11),
-               "does not implement");
+
+  Session ssb(SsbDb());
+  PreparedQuery ssb_volcano = ssb.Prepare(Engine::kVolcano, Query::kSsbQ31);
+  ssb_volcano.Set("region", "AMERICA");
+  PreparedQuery typer = ssb.Prepare(Engine::kTyper, Query::kSsbQ31);
+  typer.Set("region", "AMERICA");
+  const QueryResult expected = typer.Execute();
+  EXPECT_FALSE(expected.rows.empty());
+  EXPECT_EQ(ssb_volcano.Execute(), expected);
+  EXPECT_NE(expected, ssb.Prepare(Engine::kTyper, Query::kSsbQ31).Execute())
+      << "the re-binding must change the result to test anything";
 }
 
 }  // namespace

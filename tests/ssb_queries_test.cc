@@ -4,8 +4,9 @@
 #include "datagen/ssb.h"
 #include "runtime/types.h"
 
-// SSB: Typer and Tectorwise are independent implementations and must agree;
-// Q1.1 is additionally checked against a plain reference scan.
+// SSB: Typer, Tectorwise, and Volcano (which runs the optimizer-lowered
+// reference SQL) are independent implementations and must agree; Q1.1 is
+// additionally checked against a plain reference scan.
 
 namespace vcq {
 namespace {
@@ -45,6 +46,7 @@ QueryResult ReferenceQ11(const Database& db) {
 }
 
 struct SsbConfig {
+  Engine engine;
   size_t threads;
   size_t vector_size;
   bool simd;
@@ -53,7 +55,7 @@ struct SsbConfig {
 class SsbCrossEngineTest
     : public ::testing::TestWithParam<std::tuple<Query, SsbConfig>> {};
 
-TEST_P(SsbCrossEngineTest, TyperAndTectorwiseAgree) {
+TEST_P(SsbCrossEngineTest, MatchesTyperSingleThread) {
   const auto [query, config] = GetParam();
   QueryOptions base;
   base.threads = 1;
@@ -63,36 +65,44 @@ TEST_P(SsbCrossEngineTest, TyperAndTectorwiseAgree) {
   opt.threads = config.threads;
   opt.vector_size = config.vector_size;
   opt.simd = config.simd;
-  const QueryResult tw = RunQuery(TestDb(), Engine::kTectorwise, query, opt);
-  EXPECT_EQ(tw, expected) << QueryName(query) << "\nexpected:\n"
-                          << expected.ToString(12) << "\ngot:\n"
-                          << tw.ToString(12);
-  const QueryResult typer_mt = RunQuery(TestDb(), Engine::kTyper, query, opt);
-  EXPECT_EQ(typer_mt, expected) << QueryName(query) << " typer multithread";
+  const QueryResult got = RunQuery(TestDb(), config.engine, query, opt);
+  EXPECT_EQ(got, expected) << EngineName(config.engine) << " on "
+                           << QueryName(query) << "\nexpected:\n"
+                           << expected.ToString(12) << "\ngot:\n"
+                           << got.ToString(12);
+  if (config.engine == Engine::kTectorwise) {
+    const QueryResult typer_mt =
+        RunQuery(TestDb(), Engine::kTyper, query, opt);
+    EXPECT_EQ(typer_mt, expected) << QueryName(query) << " typer multithread";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllSsb, SsbCrossEngineTest,
     ::testing::Combine(::testing::Values(Query::kSsbQ11, Query::kSsbQ21,
                                          Query::kSsbQ31, Query::kSsbQ41),
-                       ::testing::Values(SsbConfig{1, 1024, false},
-                                         SsbConfig{1, 1024, true},
-                                         SsbConfig{4, 257, false},
-                                         SsbConfig{6, 1024, true})),
+                       ::testing::Values(
+                           SsbConfig{Engine::kTectorwise, 1, 1024, false},
+                           SsbConfig{Engine::kTectorwise, 1, 1024, true},
+                           SsbConfig{Engine::kTectorwise, 4, 257, false},
+                           SsbConfig{Engine::kTectorwise, 6, 1024, true},
+                           SsbConfig{Engine::kVolcano, 1, 1024, false})),
     [](const auto& info) {
       std::string name = QueryName(std::get<0>(info.param));
       for (char& c : name)
         if (c == '-' || c == '.') c = '_';
       const SsbConfig& c = std::get<1>(info.param);
-      return name + "_t" + std::to_string(c.threads) + "_v" +
-             std::to_string(c.vector_size) + (c.simd ? "_simd" : "");
+      return name + "_" + EngineName(c.engine) + "_t" +
+             std::to_string(c.threads) + "_v" + std::to_string(c.vector_size) +
+             (c.simd ? "_simd" : "");
     });
 
-TEST(SsbReferenceTest, Q11BothEngines) {
+TEST(SsbReferenceTest, Q11AllEngines) {
   const QueryResult expected = ReferenceQ11(TestDb());
-  EXPECT_EQ(RunQuery(TestDb(), Engine::kTyper, Query::kSsbQ11, {}), expected);
-  EXPECT_EQ(RunQuery(TestDb(), Engine::kTectorwise, Query::kSsbQ11, {}),
-            expected);
+  for (Engine e : {Engine::kTyper, Engine::kTectorwise, Engine::kVolcano}) {
+    EXPECT_EQ(RunQuery(TestDb(), e, Query::kSsbQ11, {}), expected)
+        << EngineName(e);
+  }
 }
 
 TEST(SsbShapeTest, Q21GroupsByYearAndBrand) {

@@ -169,7 +169,6 @@ TEST(TraceTest, ExplainAnalyzeRendersAllQueriesOnBothEngines) {
   for (Query q : AllQueries()) {
     Session session(DbFor(q));
     for (Engine e : {Engine::kTyper, Engine::kTectorwise}) {
-      if (!EngineSupports(e, q)) continue;
       QueryOptions opt;
       opt.trace = TraceLevel::kSpans;
       const std::string text = session.Prepare(e, q, opt).ExplainAnalyze();
@@ -277,7 +276,6 @@ TEST(TraceTest, ResultsAreByteIdenticalWithTracingOnAndOff) {
     const Database& db = DbFor(q);
     Session session(db);
     for (Engine e : {Engine::kTyper, Engine::kTectorwise}) {
-      if (!EngineSupports(e, q)) continue;
       QueryOptions off;
       off.threads = 4;
       const QueryResult reference = RunQuery(db, e, q, off);

@@ -87,8 +87,8 @@ TEST(VolcanoGroupByTest, SumsAndCounts) {
   scan->AddAccessor([](size_t i) { return static_cast<int64_t>(i); });
   auto group = std::make_unique<GroupByOp>(std::move(scan),
                                            std::vector<size_t>{0});
-  group->AddAgg(1);
-  group->AddAgg(SIZE_MAX);
+  group->AddAggOp(GroupByOp::AggOp::kSum, 1);
+  group->AddAggOp(GroupByOp::AggOp::kCount);
   group->Open();
   Row row;
   std::map<int64_t, std::pair<int64_t, int64_t>> got;
@@ -108,7 +108,7 @@ TEST(VolcanoGroupByTest, SumsAndCounts) {
 TEST(VolcanoGroupByTest, EmptyInput) {
   auto group = std::make_unique<GroupByOp>(CountingScan(0),
                                            std::vector<size_t>{0});
-  group->AddAgg(SIZE_MAX);
+  group->AddAggOp(GroupByOp::AggOp::kCount);
   group->Open();
   Row row;
   EXPECT_FALSE(group->Next(&row));
