@@ -44,15 +44,6 @@
 
 namespace {
 
-double Time(const vcq::runtime::Database& db, vcq::Engine e, vcq::Query q,
-            const vcq::runtime::QueryOptions& opt) {
-  const auto start = std::chrono::steady_clock::now();
-  vcq::RunQuery(db, e, q, opt);
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 template <typename Fn>
 double TimeMs(Fn&& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -60,6 +51,16 @@ double TimeMs(Fn&& fn) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+// One Execute() on a handle prepared and warmed once on `session`, so the
+// rows show execution time only: no Prepare, and for Volcano no SQL
+// catalog build or compile.
+double Time(const vcq::Session& session, vcq::Engine e, vcq::Query q,
+            const vcq::runtime::QueryOptions& opt) {
+  const vcq::PreparedQuery prepared = session.Prepare(e, q, opt);
+  prepared.Execute();
+  return TimeMs([&] { prepared.Execute(); });
 }
 
 // The --sql path: one ad-hoc statement through the SQL front door, swept
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
     for (vcq::Engine e : {vcq::Engine::kTyper, vcq::Engine::kTectorwise,
                           vcq::Engine::kVolcano}) {
       std::printf("    %-11s %8.2f ms\n", vcq::EngineName(e),
-                  Time(db, e, q, st));
+                  Time(session, e, q, st));
     }
 
     // Vector-size sweep (Tectorwise, Fig. 5).
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
       vcq::runtime::QueryOptions opt;
       opt.vector_size = vs;
       std::printf("    %-8zu    %8.2f ms\n", vs,
-                  Time(db, vcq::Engine::kTectorwise, q, opt));
+                  Time(session, vcq::Engine::kTectorwise, q, opt));
     }
 
     // SIMD (Fig. 6/8) and threads (Table 3).
@@ -240,14 +241,14 @@ int main(int argc, char** argv) {
       vcq::runtime::QueryOptions simd;
       simd.simd = true;
       std::printf("  tectorwise AVX-512:       %8.2f ms\n",
-                  Time(db, vcq::Engine::kTectorwise, q, simd));
+                  Time(session, vcq::Engine::kTectorwise, q, simd));
     }
     vcq::runtime::QueryOptions mt;
     mt.threads = std::max(1u, std::thread::hardware_concurrency() / 2);
     std::printf("  typer x%-2zu threads:        %8.2f ms\n", mt.threads,
-                Time(db, vcq::Engine::kTyper, q, mt));
+                Time(session, vcq::Engine::kTyper, q, mt));
     std::printf("  tectorwise x%-2zu threads:   %8.2f ms\n", mt.threads,
-                Time(db, vcq::Engine::kTectorwise, q, mt));
+                Time(session, vcq::Engine::kTectorwise, q, mt));
   }
   if (metrics) {
     std::printf("\n=== metrics ===\n%s\n%s",

@@ -20,7 +20,6 @@
 #include "runtime/scheduler.h"
 #include "runtime/spill.h"
 #include "runtime/trace.h"
-#include "runtime/tuner.h"
 #include "runtime/worker_pool.h"
 #include "sql/catalog.h"
 #include "sql/logical.h"
@@ -68,62 +67,6 @@ const ParamSpec* FindSpec(const QueryInfo& info, std::string_view name) {
     if (spec.name == name) return &spec;
   }
   return nullptr;
-}
-
-using runtime::KnobChoices;
-using runtime::KnobKind;
-using runtime::kQueryKnob;
-using runtime::TuningMode;
-
-/// Registers `value` as a member of `arms` and returns its index, appending
-/// it when the sweep grid does not already contain it — the default arm
-/// must always be selectable (kOff/kFrozen-without-history semantics).
-size_t ArmIndexOf(std::vector<int64_t>& arms, int64_t value) {
-  for (size_t i = 0; i < arms.size(); ++i) {
-    if (arms[i] == value) return i;
-  }
-  arms.push_back(value);
-  return arms.size() - 1;
-}
-
-/// Overlays the execution's query-level knob choices onto the options the
-/// engines read (Typer's ROF settings, Tectorwise's vector size).
-/// Per-plan-node choices flow separately through QueryOptions::knobs ->
-/// ExecContext.
-void ApplyQueryKnobs(const KnobChoices& choices, QueryOptions& opt) {
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kRof);
-      v != KnobChoices::kUnset) {
-    opt.rof = v != 0;
-  }
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kRofBlock);
-      v != KnobChoices::kUnset) {
-    opt.rof_block = static_cast<size_t>(v);
-  }
-  if (const int64_t v = choices.Get(kQueryKnob, KnobKind::kVectorSize);
-      v != KnobChoices::kUnset) {
-    opt.vector_size = static_cast<size_t>(v);
-  }
-}
-
-/// Registers the Tectorwise knob set — the global vector size plus one
-/// ROF knob per hash join — with the prepared options as the default arms.
-/// Shared by Prepare and PrepareSql: a SQL-compiled plan exposes exactly
-/// the same tunable decisions as a catalog one.
-void RegisterTectorwiseKnobs(runtime::Tuner& tuner,
-                             const tectorwise::Plan& plan,
-                             const QueryOptions& opt) {
-  std::vector<int64_t> sizes{256, 512, 1024, 2048};
-  const size_t size_def =
-      ArmIndexOf(sizes, static_cast<int64_t>(opt.vector_size));
-  tuner.RegisterKnob("tw.vector_size", kQueryKnob, KnobKind::kVectorSize,
-                     std::move(sizes), size_def);
-  const auto infos = plan.Describe();
-  for (uint32_t i = 0; i < infos.size(); ++i) {
-    if (infos[i].kind == tectorwise::NodeKind::kHashJoin) {
-      tuner.RegisterKnob("tw.join#" + std::to_string(i) + ".rof", i,
-                         KnobKind::kRof, {0, 1}, opt.rof ? 1 : 0);
-    }
-  }
 }
 
 /// Synthesizes the QueryInfo row of a SQL-compiled query: name "SQL", the
@@ -335,13 +278,6 @@ struct PreparedQuery::Impl {
   /// what admission charges — the measured footprint replaces the static
   /// 64 B/build-tuple guess on prepared-query re-execution.
   mutable std::atomic<size_t> measured_peak{0};
-  /// Scan-input tuple count (ScannedTuples, stamped at Prepare): the
-  /// tuner's cost normalization constant.
-  size_t work_tuples = 1;
-  /// The per-PreparedQuery bandit over execution knobs; non-null iff the
-  /// query was prepared with tuning != kOff on a tunable engine. Shared by
-  /// concurrent executions (internally synchronized).
-  std::unique_ptr<runtime::Tuner> tuner;
 
   /// Degradation-ladder telemetry (ExplainDegradation): per rung, how many
   /// ExecuteWithDegradation attempts ran there and how many succeeded.
@@ -356,11 +292,10 @@ struct PreparedQuery::Impl {
   std::shared_ptr<const runtime::QueryTrace> prepare_trace;
 
   /// Per-execution overrides of the prepared options, used by the
-  /// degradation ladder (0 = keep the prepared value). They win over the
-  /// tuner's arms: a degraded retry exists to shrink the footprint, not to
-  /// explore. `trace` (when set) forces tracing onto this execution and
-  /// shares one span buffer across a retry/degradation ladder; `rung` is
-  /// the ladder rung id the run executes at (slow-query log context).
+  /// degradation ladder (0 = keep the prepared value). `trace` (when set)
+  /// forces tracing onto this execution and shares one span buffer across
+  /// a retry/degradation ladder; `rung` is the ladder rung id the run
+  /// executes at (slow-query log context).
   struct RunTweaks {
     bool spill = false;
     size_t threads = 0;
@@ -466,26 +401,8 @@ struct PreparedQuery::Impl {
       run_opt.spill_manager = &*spill_mgr;
       ledger.EnableSpillMode();
     }
-    // Tuned executions draw one arm per knob from the bandit, overlay the
-    // query-level arms onto the run options (Typer ROF, Tectorwise vector
-    // size), and hand the per-node arms to the engines. The draw is inside
-    // the try: the tuner's bookkeeping allocates, so it is a named fault
-    // point of the managed run.
-    KnobChoices choices;
-    const bool tuned =
-        tuner != nullptr && run_opt.tuning != TuningMode::kOff;
-    uint64_t start_ns = 0;
     QueryResult result;
     try {
-      if (tuned) {
-        runtime::FaultHit(run_opt.fault, "session.tuner", token);
-        tuner->Resolve(run_opt.tuning, &choices);
-        ApplyQueryKnobs(choices, run_opt);
-        // Degradation overrides beat the tuner's arms (see RunTweaks).
-        if (tweaks.vector_size != 0) run_opt.vector_size = tweaks.vector_size;
-        run_opt.knobs = &choices;
-        start_ns = runtime::QueryTrace::NowNs();
-      }
       switch (engine) {
         case Engine::kTyper:
           result = typer(*db, run_opt, params, typer_cache);
@@ -518,12 +435,8 @@ struct PreparedQuery::Impl {
                     tweaks.rung);
     }
     result.spilled_bytes = spilled;
-    // Feedback from a clean run only — an interrupted run's spans and peak
-    // are partial and would poison both loops.
-    if (tuned && run_opt.tuning == TuningMode::kLearn) {
-      tuner->Observe(choices, runtime::QueryTrace::NowNs() - start_ns,
-                     work_tuples);
-    }
+    // Feedback from a clean run only — an interrupted run's peak is
+    // partial and would understate the footprint.
     size_t prev = measured_peak.load(std::memory_order_relaxed);
     const size_t peak = ledger.peak();
     while (peak > prev && !measured_peak.compare_exchange_weak(
@@ -863,20 +776,6 @@ bool PreparedQuery::is_sql() const { return impl_->is_sql; }
 const QueryInfo& PreparedQuery::info() const { return *impl_->info; }
 const QueryOptions& PreparedQuery::options() const { return impl_->opt; }
 
-std::string PreparedQuery::ExplainTuning() const {
-  if (impl_->tuner == nullptr) return "tuning: off\n";
-  return impl_->tuner->Describe();
-}
-
-PreparedQuery& PreparedQuery::FreezeTuning() {
-  if (impl_->tuner != nullptr) impl_->tuner->Freeze();
-  return *this;
-}
-
-bool PreparedQuery::TuningConverged() const {
-  return impl_->tuner == nullptr || impl_->tuner->Converged();
-}
-
 size_t PreparedQuery::measured_peak_bytes() const {
   return impl_->measured_peak.load(std::memory_order_relaxed);
 }
@@ -1018,28 +917,6 @@ PreparedQuery Session::Prepare(Engine engine, Query query,
       break;
     }
   }
-  // Self-tuning (runtime/tuner.h): every tunable decision of this query
-  // becomes a bandit knob, with the prepared options as the default arms —
-  // an untrained/frozen tuner reproduces today's static behavior exactly.
-  // Volcano has no knobs (it exists as the differential-test reference).
-  if (options.tuning != TuningMode::kOff && engine != Engine::kVolcano) {
-    impl->work_tuples = std::max<size_t>(1, ScannedTuples(*db_, query));
-    auto tuner = std::make_unique<runtime::Tuner>(
-        runtime::Tuner::ResolveSeed(options.tuner_seed));
-    const QueryOptions& opt = impl->opt;
-    if (engine == Engine::kTyper) {
-      tuner->RegisterKnob("typer.rof", kQueryKnob, KnobKind::kRof, {0, 1},
-                          opt.rof ? 1 : 0);
-      std::vector<int64_t> blocks{128, 256, 512, 1024};
-      const size_t def =
-          ArmIndexOf(blocks, static_cast<int64_t>(opt.rof_block));
-      tuner->RegisterKnob("typer.rof_block", kQueryKnob, KnobKind::kRofBlock,
-                          std::move(blocks), def);
-    } else {
-      RegisterTectorwiseKnobs(*tuner, impl->tw->plan(), opt);
-    }
-    impl->tuner = std::move(tuner);
-  }
   PreparedQuery prepared;
   prepared.impl_ = std::move(impl);
   return prepared;
@@ -1091,14 +968,6 @@ PreparedQuery Session::PrepareSql(std::string_view sql_text, Engine engine,
     }
     case Engine::kVolcano:
       break;  // runs impl->sql
-  }
-  if (options.tuning != TuningMode::kOff && engine == Engine::kTectorwise) {
-    impl->work_tuples =
-        std::max<size_t>(1, compiled.query->ScannedTuples());
-    auto tuner = std::make_unique<runtime::Tuner>(
-        runtime::Tuner::ResolveSeed(options.tuner_seed));
-    RegisterTectorwiseKnobs(*tuner, impl->tw->plan(), impl->opt);
-    impl->tuner = std::move(tuner);
   }
   PreparedQuery prepared;
   prepared.impl_ = std::move(impl);

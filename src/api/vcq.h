@@ -105,44 +105,9 @@
 //      kRejected while lighter tenants keep queueing — overload degrades
 //      the tenant causing it, not the whole process.
 //
-// Self-tuning model (paper §9.1: the optimizer, not the engineer, should
-// pick execution strategies): every data- and machine-dependent execution
-// knob — ROF staged probes per Tectorwise join (and Typer's per-query ROF
-// and block size), the Tectorwise vector size — can be learned per
-// prepared query instead of set statically, by a per-PreparedQuery
-// multi-armed bandit (runtime/tuner.h). Batch compaction is not a knob:
-// Tectorwise always densifies batches below 1/64 density
-// (tectorwise/core.h).
-// Opt in per query:
-//
-//   vcq::runtime::QueryOptions opt;
-//   opt.tuning = vcq::runtime::TuningMode::kLearn;   // default: kOff
-//   opt.tuner_seed = 42;            // 0 = VCQ_TUNER_SEED env, else fixed
-//   vcq::PreparedQuery q = session.Prepare(engine, query, opt);
-//   while (!q.TuningConverged()) q.Execute();        // bounded exploration
-//   std::cout << q.ExplainTuning();  // arms, visit counts, measured costs
-//   q.FreezeTuning();                // pin the learned configuration
-//
-// Knob lifecycle: knobs are registered at Prepare (one per tunable
-// decision the query's plan actually contains), each with a discrete arm
-// set whose default arm is exactly the static QueryOptions configuration.
-// Every kLearn execution draws one arm per knob (bounded exploration in a
-// seed-shuffled order, then UCB1 on the query's measured ns/tuple, which
-// every knob is charged because knobs are explored one at a time) and
-// feeds the measured cost back; failed executions are never charged. kFrozen (or
-// FreezeTuning()) resolves every knob to its best learned arm without
-// further exploration or state updates; kOff bypasses the tuner entirely
-// and behaves exactly like the pre-tuner statics — as does an untrained
-// frozen tuner, whose best arm is the default arm.
-//
-// Determinism: arms change performance, never results — every arm of
-// every knob produces byte-identical output (tests/tuner_test.cc sweeps
-// them). The exploration arm sequence is a pure function of the resolved
-// seed and the number of kLearn executions; measured costs only influence
-// post-exploration choices. Set VCQ_TUNER_SEED (or tuner_seed) to replay
-// a sequence exactly. bench/ablation_self_tuning.cc measures the learned
-// configuration against every static arm across selectivities and scale
-// factors.
+// Execution settings: ROF and vector size are static QueryOptions; the
+// paper's sweeps over them live in bench/fig05_vector_size.cc and
+// bench/ablation_rof_q9.cc.
 //
 // SQL model (src/sql/): the catalog queries above are hand-built plans,
 // but a Session can also compile ad-hoc SQL text —
@@ -165,7 +130,7 @@
 // joins onto unique keys when that shrinks the intermediate rows; see
 // sql/optimizer.h) → lowering onto the same tectorwise::PlanBuilder DAG
 // the catalog queries use — so SQL-prepared queries inherit the whole
-// runtime stack above (scheduler, governor, spill, degradation, tuning)
+// runtime stack above (scheduler, governor, spill, degradation)
 // unchanged. On the reference texts (sql/reference_queries.h), Q18
 // pre-aggregates lineitem by orderkey below its joins as the hand plan
 // does, and Q9 joins the filtered parts to lineitem before partsupp.
@@ -205,7 +170,7 @@
 //   Process-wide METRICS. A global registry of counters, gauges, and
 //   log2-bucketed histograms named vcq.<subsystem>.<what>[_total] —
 //   scheduler admission/shed/queue depth, governor live and peak bytes,
-//   spill bytes, degradation-ladder rung outcomes, tuner draws, and
+//   spill bytes, degradation-ladder rung outcomes, and
 //   per-session query latency percentiles (vcq.query.latency_us
 //   p50/p95/p99). Snapshot as JSON via Session::MetricsSnapshot() (also
 //   sql_shell \metrics) or Prometheus text via metrics::

@@ -8,7 +8,6 @@ namespace vcq::runtime {
 
 class CancelToken;
 class FaultInjector;
-class KnobChoices;
 class QueryLedger;
 class QueryTrace;
 class SpillManager;
@@ -36,17 +35,6 @@ enum class TraceLevel : uint8_t { kOff, kSpans };
 /// Both produce identical chain contents; only chain order and entry
 /// placement differ.
 enum class BuildMode { kCas, kPartitioned };
-
-/// Whether prepared-query executions consult the per-PreparedQuery
-/// runtime::Tuner for execution knobs (see runtime/tuner.h):
-///   kOff     every knob comes from the static QueryOptions fields below —
-///            exactly the pre-tuner behavior.
-///   kLearn   each execution draws knob arms from the bandit (bounded
-///            seed-deterministic exploration, then UCB1) and feeds the
-///            measured cost back.
-///   kFrozen  every knob resolves to the current best learned arm; no
-///            exploration, no state updates.
-enum class TuningMode { kOff, kLearn, kFrozen };
 
 /// Per-run execution settings, honored by all engines where meaningful.
 struct QueryOptions {
@@ -118,31 +106,13 @@ struct QueryOptions {
   /// only.
   bool adaptive = false;
   /// Relaxed operator fusion (paper §9.1, Peloton's hybrid). Typer: every
-  /// join query's probe pipeline is split at a block boundary (see
-  /// typer::JoinTable::StagedLookup) — stage 1 hashes a block and
-  /// prefetches the directory words, stage 2 prefetches the chain heads,
-  /// stage 3 resolves with the latency hidden. Tectorwise: findCandidates
-  /// switches to the prefetch-staged variant (JoinCandidatesStaged), which
-  /// plays the same trick inside each vector.
+  /// join query's probe pipeline is split into blocks of typer::kRofBlock
+  /// tuples (see typer::JoinTable::StagedLookup) — stage 1 hashes a block
+  /// and prefetches the directory words, stage 2 prefetches the chain
+  /// heads, stage 3 resolves with the latency hidden. Tectorwise:
+  /// findCandidates switches to the prefetch-staged variant
+  /// (JoinCandidatesStaged), which plays the same trick inside each vector.
   bool rof = false;
-  /// Typer staged-probe (ROF) block size in tuples when `rof` is set;
-  /// clamped to [1, typer::kRofMaxBlock]. The tuner sweeps
-  /// {128, 256, 512, 1024}.
-  size_t rof_block = 512;
-  /// Self-tuning mode for prepared-query execution (see TuningMode and
-  /// runtime/tuner.h). Session-level setting; standalone engine calls
-  /// ignore it.
-  TuningMode tuning = TuningMode::kOff;
-  /// Seed for the tuner's arm-exploration order. 0 = take VCQ_TUNER_SEED
-  /// from the environment, falling back to a fixed default; arm sequences
-  /// are reproducible from the resolved seed either way.
-  uint64_t tuner_seed = 0;
-  /// Resolved per-execution knob choices (written by runtime::Tuner,
-  /// stamped by vcq::PreparedQuery per run). Engines overlay these on the
-  /// static fields above: Tectorwise reads per-plan-node arms through
-  /// ExecContext, Typer reads the per-query arms before entering the
-  /// pipeline. nullptr = no overlay.
-  const KnobChoices* knobs = nullptr;
   /// Requested trace level. vcq::Session honors it by allocating a
   /// QueryTrace per execution (stamped into QueryResult::trace on
   /// success and failure); standalone engine calls must also set

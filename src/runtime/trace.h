@@ -41,8 +41,7 @@
 // final barrier, with the plan-node index as its site for Tectorwise and
 // kNoSite for Typer's fused builds, and the build-side rows as tuples).
 // EXPLAIN ANALYZE's build/probe split and benchutil's build_ms read those
-// spans back; the tuner is rewarded with the query's end-to-end span
-// (runtime/tuner.h). An untraced run (QueryOptions::trace_sink == nullptr)
+// spans back. An untraced run (QueryOptions::trace_sink == nullptr)
 // records nothing; every instrumentation point costs a null check.
 //
 // Export: ToChromeJson() renders the chrome://tracing (Perfetto) JSON

@@ -160,14 +160,21 @@ class Generator {
 
   /// Renders a fixed-point literal at the column's scale ("0.05", "-3.20").
   static std::string LitText(int64_t v, int scale) {
-    if (v < 0) return "-" + LitText(-v, scale);
+    if (v < 0) {
+      std::string out = "-";
+      out += LitText(-v, scale);
+      return out;
+    }
     if (scale == 0) return std::to_string(v);
     std::string digits = std::to_string(v);
     const size_t need = static_cast<size_t>(scale) + 1;
     if (digits.size() < need)
       digits.insert(0, need - digits.size(), '0');
-    digits.insert(digits.size() - static_cast<size_t>(scale), ".");
-    return digits;
+    const size_t point = digits.size() - static_cast<size_t>(scale);
+    std::string out(digits, 0, point);
+    out += '.';
+    out.append(digits, point);
+    return out;
   }
 
   std::string RandomPredicate() {

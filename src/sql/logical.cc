@@ -58,6 +58,30 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
+namespace {
+
+/// "(lhs <op> rhs)" for a binary arithmetic scalar.
+std::string BinaryToString(const BoundQuery& q, const Scalar& s,
+                           const char* op) {
+  std::string out = "(";
+  out += ToString(q, s.args[0]);
+  out += op;
+  out += ToString(q, s.args[1]);
+  out += ")";
+  return out;
+}
+
+/// "(arg)" for an aggregate's argument, "(*)" for COUNT(*).
+std::string AggArgToString(const BoundQuery& q, const Aggregate& a) {
+  if (!a.has_arg) return "(*)";
+  std::string out = "(";
+  out += ToString(q, a.arg);
+  out += ")";
+  return out;
+}
+
+}  // namespace
+
 std::string ToString(const BoundQuery& q, const Scalar& s) {
   switch (s.op) {
     case ScalarOp::kColumn: {
@@ -65,22 +89,26 @@ std::string ToString(const BoundQuery& q, const Scalar& s) {
       return q.Table(s.col.table).name + "." + c.name;
     }
     case ScalarOp::kConst:
-      if (s.type.kind == TypeKind::kDate)
-        return "date '" +
-               runtime::DateToString(static_cast<int32_t>(s.value)) + "'";
+      if (s.type.kind == TypeKind::kDate) {
+        std::string out = "date '";
+        out += runtime::DateToString(static_cast<int32_t>(s.value));
+        out += "'";
+        return out;
+      }
       if (s.type.scale == 0) return std::to_string(s.value);
       return runtime::NumericToString(s.value, s.type.scale);
     case ScalarOp::kAdd:
-      return "(" + ToString(q, s.args[0]) + " + " + ToString(q, s.args[1]) +
-             ")";
+      return BinaryToString(q, s, " + ");
     case ScalarOp::kSub:
-      return "(" + ToString(q, s.args[0]) + " - " + ToString(q, s.args[1]) +
-             ")";
+      return BinaryToString(q, s, " - ");
     case ScalarOp::kMul:
-      return "(" + ToString(q, s.args[0]) + " * " + ToString(q, s.args[1]) +
-             ")";
-    case ScalarOp::kYear:
-      return "year(" + ToString(q, s.args[0]) + ")";
+      return BinaryToString(q, s, " * ");
+    case ScalarOp::kYear: {
+      std::string out = "year(";
+      out += ToString(q, s.args[0]);
+      out += ")";
+      return out;
+    }
   }
   return "?";
 }
@@ -92,7 +120,8 @@ std::string ToString(const BoundQuery& q) {
     out += " " + q.Table(t).name;
   out += "\n";
   for (const Predicate& p : q.filters) {
-    out += "filter: " + ToString(q, p.lhs);
+    out += "filter: ";
+    out += ToString(q, p.lhs);
     switch (p.kind) {
       case PredKind::kCmp:
         out += std::string(" ") + CmpOpName(p.cmp) + " " +
@@ -110,26 +139,37 @@ std::string ToString(const BoundQuery& q) {
   }
   for (const JoinEdge& e : q.joins) {
     out += "join:";
-    for (const auto& k : e.keys)
-      out += " " + ToString(q, ColumnScalar(q, k[0])) + " = " +
-             ToString(q, ColumnScalar(q, k[1]));
+    for (const auto& k : e.keys) {
+      out += " ";
+      out += ToString(q, ColumnScalar(q, k[0]));
+      out += " = ";
+      out += ToString(q, ColumnScalar(q, k[1]));
+    }
     out += "\n";
   }
   if (!q.values.empty()) {
     out += q.grouped ? "group by:" : "project:";
-    for (const Scalar& v : q.values) out += " " + ToString(q, v);
+    for (const Scalar& v : q.values) {
+      out += " ";
+      out += ToString(q, v);
+    }
     out += "\n";
   }
   for (const Aggregate& a : q.aggs) {
-    out += std::string("agg: ") + ast::AggFnName(a.fn);
-    out += a.has_arg ? "(" + ToString(q, a.arg) + ")" : "(*)";
+    out += "agg: ";
+    out += ast::AggFnName(a.fn);
+    out += AggArgToString(q, a);
     out += "\n";
   }
   for (const HavingPred& h : q.having) {
     const Aggregate& a = q.aggs[h.agg];
-    out += std::string("having: ") + ast::AggFnName(a.fn) +
-           (a.has_arg ? "(" + ToString(q, a.arg) + ")" : "(*)") + " " +
-           CmpOpName(h.cmp) + " " + OperandToString(h.rhs, a.type);
+    out += "having: ";
+    out += ast::AggFnName(a.fn);
+    out += AggArgToString(q, a);
+    out += " ";
+    out += CmpOpName(h.cmp);
+    out += " ";
+    out += OperandToString(h.rhs, a.type);
     out += "\n";
   }
   out += "output:";

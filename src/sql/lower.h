@@ -24,7 +24,7 @@
 //                    a hash group-by + HAVING on one leaf and a
 //                    projection on top). Returns a normal
 //                    tectorwise::Prepared, so Session treats SQL plans
-//                    exactly like catalog plans (tuning knobs included).
+//                    exactly like catalog plans.
 //
 //   RunVolcano       interprets the same tree with the tuple-at-a-time
 //                    operators (volcano/volcano.h) per execution.

@@ -3,8 +3,10 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -232,20 +234,31 @@ class Lowerer {
       if constexpr (std::is_arithmetic_v<T>) {
         VCQ_CHECK_MSG(false, "dictionary over a numeric column");
       } else {
+        // Code every row in first-seen order, sort only the distinct
+        // values, then remap each code to its sorted rank.
         const auto span = rel.Col<T>(c.name);
-        std::vector<std::string> vals;
-        vals.reserve(span.size());
-        for (const T& v : span) vals.emplace_back(v.View());
-        d.values = vals;
-        std::sort(d.values.begin(), d.values.end());
-        d.values.erase(std::unique(d.values.begin(), d.values.end()),
-                       d.values.end());
+        std::unordered_map<std::string_view, int32_t> seen;
+        std::vector<std::string_view> distinct;
         d.codes = std::make_shared<std::vector<int32_t>>();
-        d.codes->reserve(vals.size());
-        for (const std::string& s : vals)
-          d.codes->push_back(static_cast<int32_t>(
-              std::lower_bound(d.values.begin(), d.values.end(), s) -
-              d.values.begin()));
+        d.codes->reserve(span.size());
+        for (const T& v : span) {
+          const auto [at, fresh] = seen.try_emplace(
+              v.View(), static_cast<int32_t>(distinct.size()));
+          if (fresh) distinct.push_back(v.View());
+          d.codes->push_back(at->second);
+        }
+        std::vector<int32_t> order(distinct.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+          return distinct[a] < distinct[b];
+        });
+        std::vector<int32_t> rank(distinct.size());
+        d.values.reserve(distinct.size());
+        for (size_t r = 0; r < order.size(); ++r) {
+          rank[order[r]] = static_cast<int32_t>(r);
+          d.values.emplace_back(distinct[order[r]]);
+        }
+        for (int32_t& code : *d.codes) code = rank[code];
       }
     });
     return d;

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "runtime/trace.h"
-#include "runtime/tuner.h"
 #include "runtime/worker_pool.h"
 
 namespace vcq::tectorwise {
@@ -20,31 +19,20 @@ ExecContext MakeContext(const runtime::QueryOptions& opt) {
   ctx.ledger = opt.ledger;
   ctx.fault = opt.fault;
   ctx.spill = opt.spill_manager;
-  ctx.knobs = opt.knobs;
   ctx.trace = opt.trace_sink;
   return ctx;
 }
 
 namespace {
 
-/// The plan context with node `index`'s tuner choices overlaid (see
-/// runtime/tuner.h). Every operator that reads these fields copies the
-/// context at construction, so a per-node local is safe — and required:
-/// all workers derive the same overlay from the shared KnobChoices, so
-/// every worker runs a node with the same settings.
+/// The plan context scoped to node `index` (trace runs only): deep
+/// instrumentation points (per-node spill-byte attribution in
+/// hash_join/hash_group) read `site`. Every operator that reads the context
+/// copies it at construction, so a per-node local is safe.
 ExecContext NodeContext(const ExecContext& base, uint32_t index) {
-  if (base.knobs == nullptr && base.trace == nullptr) return base;
-  using runtime::KnobChoices;
-  using runtime::KnobKind;
+  if (base.trace == nullptr) return base;
   ExecContext ctx = base;
-  // Node scope for deep instrumentation points (per-node spill-byte
-  // attribution in hash_join/hash_group).
   ctx.site = index;
-  if (base.knobs == nullptr) return ctx;
-  if (const int64_t v = base.knobs->Get(index, KnobKind::kRof);
-      v != KnobChoices::kUnset) {
-    ctx.rof = v != 0;
-  }
   return ctx;
 }
 

@@ -15,14 +15,10 @@
 
 namespace vcq::typer {
 
-/// Default block size for relaxed-operator-fusion staged probes (paper
+/// Block size in tuples for relaxed-operator-fusion staged probes (paper
 /// §9.1): large enough that the block's independent prefetches cover DRAM
 /// latency, small enough that the staged hash buffers stay L1-resident.
-/// The actual block size is per-run (QueryOptions::rof_block, swept by the
-/// tuner over {128, 256, 512, 1024}).
 inline constexpr size_t kRofBlock = 512;
-/// Upper bound on QueryOptions::rof_block; sizes the staged hash buffers.
-inline constexpr size_t kRofMaxBlock = 1024;
 
 /// Shared join hash table for Typer pipelines: a morsel-parallel producer
 /// materializes entries into worker-local chunk arenas, then hands them to
@@ -157,7 +153,7 @@ class JoinTable {
 
    private:
     const JoinTable& table_;
-    uint64_t hashes_[kRofMaxBlock];
+    uint64_t hashes_[kRofBlock];
   };
 
   size_t size() const { return build_.entry_count(); }

@@ -348,5 +348,19 @@ TEST(SessionTest, VolcanoHonorsBindingsOnBothWorkloads) {
       << "the re-binding must change the result to test anything";
 }
 
+TEST(SessionTest, MeasuredPeakReplacesEstimateAfterFirstRun) {
+  Session session(TpchDb());
+  QueryOptions opt;
+  opt.threads = 1;
+  PreparedQuery q = session.Prepare(Engine::kTectorwise, Query::kQ3, opt);
+  EXPECT_EQ(q.measured_peak_bytes(), 0u);
+  ASSERT_TRUE(q.Execute().ok());
+  const size_t peak = q.measured_peak_bytes();
+  EXPECT_GT(peak, 0u);
+  // Stable across re-executions of the same bindings.
+  ASSERT_TRUE(q.Execute().ok());
+  EXPECT_EQ(q.measured_peak_bytes(), peak);
+}
+
 }  // namespace
 }  // namespace vcq
